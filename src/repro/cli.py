@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from repro.core.deck import default_deck, parse_deck_file
-from repro.core.driver import TeaLeaf
+from repro.core.driver import TeaLeaf, deck_liveness
 from repro.models.base import DeviceKind, available_models, get_model
 
 
@@ -68,10 +68,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["tl_codegen"] = True
     if args.overlap:
         overrides["tl_overlap"] = True
-    if args.arena or args.arena_poison:
-        overrides["tl_field_arena"] = True
-    if args.arena_poison:
-        overrides["tl_arena_poison"] = True
+    if args.poison:
+        overrides["tl_poison_dead_fields"] = True
     if overrides:
         deck = dataclasses.replace(deck, **overrides)
 
@@ -128,9 +126,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_liveness(args: argparse.Namespace, deck) -> int:
-    """Render per-field live ranges and the arena slot coloring."""
+    """Render per-field live ranges and the poison release schedule."""
     from repro.core import fields as F
-    from repro.models.arena import deck_liveness
 
     lv = deck_liveness(deck)
     print(
@@ -139,26 +136,18 @@ def _cmd_plan_liveness(args: argparse.Namespace, deck) -> int:
         f"({len(lv.events)} events, loops unrolled 2x)"
     )
     print(f"# cyclic live-in: {', '.join(sorted(lv.live_in)) or '(none)'}")
-    print(f"{'field':10s} {'role':12s} {'slot':5s} live ranges (event index)")
+    print(f"{'field':10s} {'role':12s} live ranges (event index)")
     for name in F.FIELD_ORDER:
         role = F.role(name).name.lower()
-        slot = lv.slots.get(name)
         segments = lv.segments(name)
         ranges = (
             ", ".join(f"[{a}..{b}]" for a, b in segments)
             if segments
             else "(never live)"
         )
-        print(f"{name:10s} {role:12s} {str(slot) if slot is not None else '-':5s} {ranges}")
-    n_work = len(lv.arena_fields)
-    if n_work:
-        print(
-            f"\narena: {lv.slot_count} slot(s) back {n_work} work field(s) "
-            f"(bytes ratio {lv.slot_count / n_work:.2f})"
-        )
-    if lv.self_contained:
-        print(f"self-contained (die within the cycle): "
-              f"{', '.join(lv.self_contained)}")
+        print(f"{name:10s} {role:12s} {ranges}")
+    if lv.dead_at_entry:
+        print(f"\npoison at step entry: {', '.join(lv.dead_at_entry)}")
     for plan_name, dead in sorted(lv.releases.items()):
         print(f"poison release after {plan_name}: {', '.join(dead)}")
     print("\n# event timeline")
@@ -409,82 +398,6 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     return EXIT_FAILURES if manifest["failures"] else 0
 
 
-def _cmd_batch(args: argparse.Namespace) -> int:
-    """Run a list of decks as one batched multi-deck execution."""
-    import dataclasses
-
-    from repro.core.batch import run_batch
-    from repro.util.errors import DeckError, ModelError
-
-    if args.decks:
-        decks = [parse_deck_file(path) for path in args.decks]
-        labels = list(args.decks)
-    else:
-        decks = [default_deck(n=args.mesh, solver=args.solver, end_step=args.steps)]
-        labels = [f"default({args.mesh}x{args.mesh}/{args.solver})"]
-    if args.copies > 1:
-        if len(decks) != 1:
-            print("--copies takes exactly one deck to replicate", file=sys.stderr)
-            return 2
-        decks = decks * args.copies
-        labels = [f"{labels[0]}#{i}" for i in range(args.copies)]
-
-    overrides: dict[str, object] = {}
-    if args.fuse:
-        overrides["tl_fuse_kernels"] = True
-    if args.residency:
-        overrides["tl_residency_tracking"] = True
-    if args.codegen:
-        overrides["tl_codegen"] = True
-    if args.overlap:
-        overrides["tl_overlap"] = True
-    if overrides:
-        decks = [dataclasses.replace(d, **overrides) for d in decks]
-
-    print(
-        f"TeaLeaf batch: {len(decks)} deck(s), model={args.model}, "
-        f"solver={decks[0].solver}, mesh={decks[0].x_cells}x{decks[0].y_cells}"
-    )
-    try:
-        batch = run_batch(decks, model=args.model, poison=args.poison)
-    except (DeckError, ModelError) as exc:
-        print(f"batch: {exc}", file=sys.stderr)
-        return 2
-
-    for lane, (label, result) in enumerate(zip(labels, batch.results)):
-        if result is None:
-            print(f"lane {lane:2d} {label}: FAILED")
-            continue
-        iters = result.total_iterations
-        print(
-            f"lane {lane:2d} {label}: {len(result.steps)} step(s), "
-            f"{iters} iteration(s), u_sha={batch.u_hashes[lane]}, "
-            f"wall={result.wall_seconds:.2f}s"
-        )
-    for error in batch.errors:
-        print(f"batch: {error}", file=sys.stderr)
-
-    stats = batch.arena_stats
-    mb = 1024 * 1024
-    print(
-        f"arena: {stats['slot_count']} slot(s) x {stats['lanes']} lane(s) "
-        f"back {len(stats['arena_fields'])} work field(s): "
-        f"{stats['arena_bytes'] / mb:.1f} MB vs "
-        f"{stats['work_field_bytes'] / mb:.1f} MB persistent "
-        f"(ratio {stats['bytes_ratio']:.2f})"
-    )
-    print(
-        f"conductor: {batch.rounds} round(s), "
-        f"{batch.batched_calls} kernel call(s) batched, "
-        f"{batch.solo_calls} solo"
-    )
-    print(
-        f"throughput: {batch.decks_per_second:.2f} decks/s "
-        f"({batch.wall_seconds:.2f}s wall)"
-    )
-    return 1 if batch.errors else 0
-
-
 def _cmd_models(args: argparse.Namespace) -> int:
     print(f"{'name':12s} {'display':36s} {'CPU':12s} {'GPU':12s} {'KNC':12s}")
     for name in available_models():
@@ -723,49 +636,15 @@ def build_parser() -> argparse.ArgumentParser:
              "bitwise-identical, prints exposed/hidden comm accounting",
     )
     run.add_argument(
-        "--arena", action="store_true",
-        help="allocate work fields from a live-range slot-shared arena "
-             "(tl_field_arena); bitwise-identical",
-    )
-    run.add_argument(
-        "--arena-poison", action="store_true",
-        help="debug: NaN-poison arena slots when their field dies "
-             "(tl_arena_poison; implies --arena)",
+        "--poison", action="store_true",
+        help="debug: NaN-fill each work field where the liveness pass "
+             "proves it dead (tl_poison_dead_fields); bitwise-identical "
+             "unless a kernel reads a dead field",
     )
     run.set_defaults(fn=_cmd_run)
 
     models = sub.add_parser("models", help="list registered programming models")
     models.set_defaults(fn=_cmd_models)
-
-    batch = sub.add_parser(
-        "batch",
-        help="run several compatible decks at once through one arena: "
-        "each codegen kernel sweeps every deck's fields in one call",
-    )
-    batch.add_argument(
-        "decks", nargs="*",
-        help="tea.in-style deck files (same mesh/solver/flags; "
-        "dt/eps/end_step may differ)",
-    )
-    batch.add_argument("--model", default="openmp-f90",
-                       help="programming-model port (must support field binding)")
-    batch.add_argument("--copies", type=int, default=1,
-                       help="replicate a single deck N times")
-    batch.add_argument("--mesh", type=int, default=128, help="NxN mesh (no deck file)")
-    batch.add_argument("--solver", default="cg", help="cg|chebyshev|ppcg|jacobi")
-    batch.add_argument("--steps", type=int, default=2, help="timesteps (no deck file)")
-    batch.add_argument("--fuse", action="store_true",
-                       help="fuse kernels in every lane (tl_fuse_kernels)")
-    batch.add_argument("--residency", action="store_true",
-                       help="track residency in every lane (tl_residency_tracking)")
-    batch.add_argument("--codegen", action="store_true",
-                       help="lower plans to generated NumPy (tl_codegen); "
-                       "required for cross-deck kernel batching")
-    batch.add_argument("--overlap", action="store_true",
-                       help="overlap halo exchanges in every lane (tl_overlap)")
-    batch.add_argument("--poison", action="store_true",
-                       help="NaN-poison arena slots at field death (debug)")
-    batch.set_defaults(fn=_cmd_batch)
 
     plan = sub.add_parser(
         "plan", help="show the kernel plans a solver replays on a model"
@@ -797,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--liveness", action="store_true",
         help="show per-field live ranges over the solve cycle and the "
-        "arena slot coloring instead of the plan bodies",
+        "poison release schedule instead of the plan bodies",
     )
     plan.set_defaults(fn=_cmd_plan)
 

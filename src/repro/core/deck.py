@@ -130,16 +130,12 @@ class Deck:
     #: (see repro.models.overlap).  Bitwise-identical to the synchronous
     #: plan; ports that cannot split fall back with a recorded warning.
     tl_overlap: bool = False
-    #: Allocate solver work fields from a live-range arena instead of
-    #: persistent per-field arrays (see repro.models.arena): fields the
-    #: liveness pass proves never co-live share one slot.  Bitwise
-    #: results are unchanged; ports without external-backing support
-    #: fall back with a recorded warning.
-    tl_field_arena: bool = False
-    #: Debug mode: NaN-fill an arena field's slot at its death point so
-    #: any read of a dead work field fails a finite guard instead of
-    #: consuming silently stale bytes.  Requires tl_field_arena.
-    tl_arena_poison: bool = False
+    #: Debug mode: NaN-fill each work field at the death points the
+    #: liveness pass proves (see repro.core.driver.deck_liveness), so any
+    #: read of a dead field fails a finite guard instead of consuming
+    #: silently stale bytes.  Bitwise-invisible to a correct run;
+    #: decomposed ports fall back with a recorded warning.
+    tl_poison_dead_fields: bool = False
     states: tuple[State, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -212,20 +208,19 @@ class Deck:
                 parse_injections(self.tl_inject)
             except ValueError as exc:
                 raise DeckError(f"bad tl_inject spec: {exc}") from exc
-        if self.tl_arena_poison and not self.tl_field_arena:
-            raise DeckError("tl_arena_poison requires tl_field_arena")
-        if self.tl_field_arena:
-            # Slot sharing makes checkpoint restore order-dependent (two
-            # fields restored into one buffer), so the resilience layer is
-            # out; the explicit solver builds no plans to analyse.
+        if self.tl_poison_dead_fields:
+            # Checkpoints validate every captured field as finite, so a
+            # poisoned dead field would read as corruption: the resilience
+            # layer is out.  The explicit solver builds no plans to analyse.
             if self.tl_resilient or self.tl_inject:
                 raise DeckError(
-                    "tl_field_arena is incompatible with tl_resilient/tl_inject "
-                    "(slot-shared storage breaks checkpoint restore ordering)"
+                    "tl_poison_dead_fields is incompatible with "
+                    "tl_resilient/tl_inject (checkpoints reject the "
+                    "NaN-filled dead fields as corruption)"
                 )
             if self.solver == "explicit":
                 raise DeckError(
-                    "tl_field_arena needs a plan-based solver "
+                    "tl_poison_dead_fields needs a plan-based solver "
                     "(explicit has no plan IR to run liveness on)"
                 )
         if self.states and not any(s.index == 1 for s in self.states):
@@ -372,8 +367,7 @@ def parse_deck(text: str) -> Deck:
             "tl_residency_tracking",
             "tl_codegen",
             "tl_overlap",
-            "tl_field_arena",
-            "tl_arena_poison",
+            "tl_poison_dead_fields",
         ):
             values[lowered] = True
             continue

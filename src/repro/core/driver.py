@@ -16,6 +16,7 @@ changes through conduction.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,9 +33,8 @@ from repro.util.errors import CorruptionError, RankFailureError
 from repro.util.timing import TimerRegistry
 
 if TYPE_CHECKING:  # avoid a core <-> models import cycle
-    from repro.models.arena import FieldArena
     from repro.models.base import Port
-    from repro.models.plan import Plan
+    from repro.models.plan import FieldLiveness, Plan
     from repro.models.tracing import Trace
     from repro.resilience import ResilienceManager, ResilienceReport
 
@@ -66,6 +66,29 @@ def solve_step_plans(halo: int) -> tuple[Plan, Plan]:
         ),
     )
     return prologue, epilogue
+
+
+def deck_liveness(deck: Deck) -> FieldLiveness:
+    """Per-field live ranges and poison releases of ``deck``'s solve cycle.
+
+    Analyses one timestep's canonical cyclic timeline with
+    :func:`repro.models.plan.compute_liveness`: the prologue, the deck's
+    solver fragments — every contiguous run of looping fragments
+    unrolled twice, so loop-carried fields stay live across the back
+    edge — then the epilogue.
+    """
+    from repro.core.solvers import solver_timeline
+    from repro.models.plan import compute_liveness
+
+    prologue, epilogue = solve_step_plans(deck.grid().halo)
+    timeline = [prologue]
+    for in_loop, rows in itertools.groupby(
+        solver_timeline(deck), key=lambda row: row[1]
+    ):
+        run = [plan for plan, _ in rows]
+        timeline.extend(run * 2 if in_loop else run)
+    timeline.append(epilogue)
+    return compute_liveness(timeline)
 
 
 @dataclass(frozen=True)
@@ -144,9 +167,6 @@ class TeaLeaf:
         port: Port | None = None,
         visit_dir: str | None = None,
         resilience: ResilienceManager | None = None,
-        arena: "FieldArena | None" = None,
-        arena_lane: int = 0,
-        batch_conductor: object | None = None,
     ) -> None:
         # Imported here rather than at module scope: the models package
         # imports repro.core, so a top-level import would be circular.
@@ -207,6 +227,24 @@ class TeaLeaf:
             overlap=deck.tl_overlap,
         )
         self.port.plan_executor = self.executor
+
+        # Poison mode (debug): NaN-fill each work field where the liveness
+        # pass proves it dead — at step entry and after the plans that
+        # release it — so a stale read fails a finite guard instead of
+        # silently reusing old bytes.  It fills the port's own device
+        # arrays, so a decomposed port (fields per chunk) cannot honour it.
+        self._dead_at_entry: tuple[str, ...] = ()
+        if deck.tl_poison_dead_fields:
+            if self.port.supports_codegen:
+                liveness = deck_liveness(deck)
+                self.executor.poison_after = liveness.releases
+                self._dead_at_entry = liveness.dead_at_entry
+            else:
+                self.executor.fallbacks.append(
+                    f"tl_poison_dead_fields requested but port "
+                    f"'{self.port.model_name}' has no single device array "
+                    f"per field; dead fields are not poisoned"
+                )
         # A requested optimisation the port cannot honour degrades
         # loudly: one warning line per fallback, plus a record on the
         # run result — never a silent flag drop.
@@ -221,45 +259,6 @@ class TeaLeaf:
         # state for the restored fields before rewriting them.
         if deck.tl_residency_tracking:
             self.port.enable_residency_tracking()
-
-        # Field arena: back every field with rows of a slot-shared arena
-        # sized by the liveness pass (repro.models.arena), so work fields
-        # whose live ranges never overlap reuse one slot.  A batch runner
-        # (repro.core.batch) passes a shared multi-lane arena plus its
-        # conductor; a solo run with tl_field_arena builds a private
-        # single-lane one.  Ports that cannot alias external storage
-        # degrade loudly, like any other unhonoured optimisation flag.
-        self.arena = arena
-        self.arena_lane = arena_lane
-        if arena is None and deck.tl_field_arena:
-            if self.port.supports_field_binding:
-                from repro.models.arena import FieldArena, deck_liveness
-
-                liveness = deck_liveness(deck, self.grid.halo)
-                words = int(self.grid.shape[0]) * int(self.grid.shape[1])
-                self.arena = FieldArena(words, lanes=1, liveness=liveness)
-                self.arena_lane = 0
-            else:
-                message = (
-                    f"tl_field_arena requested but the {model} port cannot "
-                    "bind external field storage; using persistent arrays"
-                )
-                self.executor.fallbacks.append(message)
-                print(f"tealeaf: warning: {message}", file=sys.stderr)
-        if self.arena is not None:
-            self.arena.bind_port(self.port, self.arena_lane)
-            self.executor.attach_arena(
-                self.arena,
-                lane=self.arena_lane,
-                releases=(
-                    self.arena.liveness.releases
-                    if deck.tl_arena_poison
-                    else None
-                ),
-            )
-            if batch_conductor is not None:
-                self.executor.batch_conductor = batch_conductor
-                self.executor.batch_lane = self.arena_lane
 
         density, energy0 = generate_chunk(list(deck.states), self.grid)
         with self.trace.section("init"):
@@ -284,11 +283,11 @@ class TeaLeaf:
         if manager is not None:
             manager.current_step = self.step_count
 
-        if self.arena is not None and self.deck.tl_arena_poison:
-            # Every arena work field is def-before-use within a step (the
+        if self._dead_at_entry:
+            # Every such field is def-before-use within a step (the
             # liveness pass proved none is live into the cycle), so a NaN
             # floor at step entry can only surface stale-read bugs.
-            self.arena.poison_work_fields(self.arena_lane, self.port)
+            self.executor.poison(self._dead_at_entry)
 
         retries = 0
         summary = None

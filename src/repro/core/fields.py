@@ -85,14 +85,6 @@ PRE_SOLVE_EXCHANGE: tuple[str, ...] = (U, U0, KX, KY)
 PER_ITERATION_EXCHANGE: tuple[str, ...] = (P,)
 
 
-#: Solver work vectors, in allocation order — the candidate set for
-#: arena-backed storage (every one is fully re-derived inside a solve,
-#: never carried across timesteps).
-WORK_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in FIELDS.values() if f.role is FieldRole.WORK
-)
-
-
 def role(name: str) -> FieldRole:
     """The :class:`FieldRole` of a canonical field name."""
     return FIELDS[name].role

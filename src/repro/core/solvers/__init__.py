@@ -96,10 +96,10 @@ def solver_plan_fragments(deck):
 def solver_timeline(deck):
     """``(plan, in_loop)`` rows of one canonical solve, for liveness.
 
-    The liveness pass (:func:`repro.models.plan.compute_liveness`) needs
+    The liveness pass (:func:`repro.core.driver.deck_liveness`) needs
     to know which fragments repeat: it unrolls every contiguous run of
     in-loop plans twice so loop-carried fields (``p`` across CG
-    iterations, ``sd`` across Chebyshev smoothing steps) interfere across
+    iterations, ``sd`` across Chebyshev smoothing steps) stay live across
     the back edge exactly as they do mid-loop.  One-shot setup/teardown
     fragments stay single.
     """

@@ -88,7 +88,9 @@ class Port(ABC):
     #: port.  Anything exposing its device storage through
     #: :meth:`_device_array` qualifies (the generated NumPy bodies write
     #: the same arrays the ``_k_*`` primitives do); decomposed ports,
-    #: whose fields live per-chunk, opt out.
+    #: whose fields live per-chunk, opt out.  Poison mode
+    #: (``tl_poison_dead_fields``) NaN-fills those same arrays, so it
+    #: follows this flag too.
     supports_codegen: bool = True
 
     #: Whether the async overlap executor may split this port's sweeps
@@ -190,19 +192,10 @@ class Port(ABC):
         #: Everything starts dirty so first reads populate the mirror.
         self._dirty_fields: set[str] = set(F.FIELD_ORDER)
 
-    #: Arena slot aliasing: fields sharing each field's backing bytes
-    #: (installed by :meth:`repro.models.arena.FieldArena.bind_port`).
-    #: Writing a field invalidates its partners' mirrors too.
-    _slot_partners: Mapping[str, tuple[str, ...]] = {}
-
     def _mark_dirty(self, names: Iterable[str]) -> None:
         """Residency hook: ``names`` were written on the device."""
         if self._residency_enabled:
-            names = tuple(names)
             self._dirty_fields.update(names)
-            if self._slot_partners:
-                for name in names:
-                    self._dirty_fields.update(self._slot_partners.get(name, ()))
 
     def _mirror_clean(self, name: str) -> np.ndarray | None:
         """The mirrored host copy of ``name`` if it is still valid."""
@@ -230,40 +223,6 @@ class Port(ABC):
         for name in tuple(names):
             self._host_mirror.pop(name, None)
             self._dirty_fields.add(name)
-
-    # ------------------------------------------------------------------ #
-    # external field backing (arena-backed storage)
-    # ------------------------------------------------------------------ #
-    #: Whether :meth:`bind_field` can rebind this port's field storage
-    #: onto externally-owned memory (a :class:`repro.models.arena.FieldArena`
-    #: lane).  Ports whose device arrays are plain buffer views opt in;
-    #: data-region ports (OpenMP 4.x, OpenACC), whose device environment
-    #: *copies* host arrays on map, cannot alias external storage and
-    #: stay False.
-    supports_field_binding: bool = False
-
-    def field_memory_order(self) -> str:
-        """Element order of this port's 2-D field views over flat storage.
-
-        ``"C"`` for row-major ports; Kokkos returns ``"F"`` under
-        ``Layout.LEFT``.  The batch conductor uses it to build the
-        lane-batched view with matching element placement.
-        """
-        return "C"
-
-    def bind_field(self, name: str, flat: np.ndarray) -> None:
-        """Rebind ``name``'s storage onto an external flat float64 buffer.
-
-        ``flat`` has exactly ``grid.shape`` elements; the port must adopt
-        it as the backing memory of the field (preserving current
-        contents is the caller's concern — arena-backed fields are dead
-        at bind time by construction).  Any cached residency mirror for
-        the field is dropped: the bytes behind it just changed owners.
-        """
-        raise ModelError(
-            f"port '{self.model_name}' does not support external field "
-            f"backing (supports_field_binding=False)"
-        )
 
     # ------------------------------------------------------------------ #
     # the dispatch core

@@ -40,7 +40,6 @@ construction.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -74,12 +73,11 @@ class CodegenContext:
     def reduce(self, values: np.ndarray) -> float:
         """Canonical deterministic interior reduction.
 
-        Generated bodies route every reduction through the context's
-        ``reduce`` (bound as ``RD`` in the preamble) instead of calling
-        ``deterministic_sum`` directly, so a batched context
-        (:class:`repro.core.batch.BatchContext`) can substitute a
-        per-lane loop over the trailing lane axis while each lane's sum
-        stays bitwise the sequential one.
+        Generated bodies route every reduction through the slice
+        source's ``reduce`` (bound as ``RD`` in the preamble) instead of
+        calling ``deterministic_sum`` directly, so an overlap region
+        (:class:`repro.models.overlap.RegionSlices`) can assert that no
+        partial-region sweep ever sums.
         """
         return deterministic_sum(values.ravel())
 
@@ -351,11 +349,6 @@ _FN_CACHE: dict[tuple, tuple[Callable, str]] = {}
 #: Function-cache telemetry (the codegen-cache test reads this).
 CACHE_STATS = {"hits": 0, "misses": 0}
 
-#: Guards the function cache: lane threads of a batched run compile
-#: concurrently, and function identity doubles as the conductor's
-#: grouping key.
-_FN_LOCK = threading.Lock()
-
 
 def clear_cache() -> None:
     """Drop all generated functions and reset the hit/miss counters."""
@@ -408,15 +401,6 @@ def generate_source(calls: tuple[KernelCall, ...]) -> str:
 
 
 def _function_for(calls: tuple[KernelCall, ...]) -> tuple[Callable, str]:
-    # Serialised: batched runs compile from several lane threads at
-    # once, and the batch conductor groups rendezvoused steps by
-    # *function identity* — every lane must get the same object back
-    # for one key, never a duplicate compile racing into the cache.
-    with _FN_LOCK:
-        return _function_for_locked(calls)
-
-
-def _function_for_locked(calls: tuple[KernelCall, ...]) -> tuple[Callable, str]:
     key = _cache_key(calls)
     hit = _FN_CACHE.get(key)
     if hit is not None:

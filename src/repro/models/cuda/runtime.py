@@ -33,18 +33,6 @@ class DeviceAllocation:
         self.label = label
         self.freed = False
 
-    @classmethod
-    def adopt(cls, buffer: np.ndarray, label: str = "") -> "DeviceAllocation":
-        """Wrap externally-owned device words (an arena row) as an allocation.
-
-        The bytes belong to the arena — ``free`` only retires the handle.
-        """
-        alloc = cls.__new__(cls)
-        alloc._data = buffer
-        alloc.label = label
-        alloc.freed = False
-        return alloc
-
     @property
     def data(self) -> np.ndarray:
         if self.freed:
@@ -70,12 +58,6 @@ class CudaRuntime:
     def malloc(self, words: int, label: str = "") -> DeviceAllocation:
         """cudaMalloc (sized in float64 words)."""
         alloc = DeviceAllocation(words, label)
-        self._allocations.append(alloc)
-        return alloc
-
-    def adopt(self, buffer: np.ndarray, label: str = "") -> DeviceAllocation:
-        """Register externally-backed device memory (arena-bound fields)."""
-        alloc = DeviceAllocation.adopt(buffer, label)
         self._allocations.append(alloc)
         return alloc
 

@@ -252,17 +252,6 @@ class CUDAPort(Port):
     def _device_array(self, name: str) -> np.ndarray:
         return self.dev[name].data.reshape(self._rows, self._pitch)
 
-    # Kernels fetch ``dev[name].data`` per launch, so swapping the
-    # allocation for one adopting an arena row is safe; the retired
-    # allocation is freed so any stale capture fails loudly.
-    supports_field_binding = True
-
-    def bind_field(self, name: str, flat: np.ndarray) -> None:
-        old = self.dev[name]
-        self.dev[name] = self.rt.adopt(flat, name)
-        self.rt.free(old)
-        self.invalidate_residency((name,))
-
     # ------------------------------------------------------------------ #
     def _geo(self) -> tuple[int, int, int, int]:
         return self._n, self._pitch, self.h, self.grid.nx

@@ -451,21 +451,6 @@ class KokkosPort(Port):
     def _device_array(self, name: str) -> np.ndarray:
         return self.views[name].data
 
-    # Views hold a plain assignable ``data`` array and functors capture
-    # ``view.flat`` per launch, so adoption is a data rebind.  Under
-    # LayoutLeft the F-order reshape of the contiguous arena row shares
-    # its buffer — layout polymorphism survives external backing.
-    supports_field_binding = True
-
-    def field_memory_order(self) -> str:
-        return "C" if self.geo.layout is Layout.RIGHT else "F"
-
-    def bind_field(self, name: str, flat: np.ndarray) -> None:
-        self.views[name].data = flat.reshape(
-            self.grid.shape, order=self.field_memory_order()
-        )
-        self.invalidate_residency((name,))
-
     # ------------------------------------------------------------------ #
     def _k_set_field(self) -> None:
         deep_copy(self.views[F.ENERGY1], self.views[F.ENERGY0])

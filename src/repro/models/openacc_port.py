@@ -37,9 +37,6 @@ class OpenACCPort(OpenMP3Port):
     #: region is real, so no fusion and no barrier hoisting.
     supports_fusion = False
     has_data_region = True
-    #: The acc data environment copies host arrays on map — external
-    #: arena backing cannot alias through it (see OpenMP4Port).
-    supports_field_binding = False
 
     def __init__(self, grid: Grid2D, trace: Trace | None = None) -> None:
         super().__init__(grid, trace, dialect="f90")

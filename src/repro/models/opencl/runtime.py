@@ -79,23 +79,6 @@ class Buffer:
         self.released = False
         context.register(self)
 
-    @classmethod
-    def adopt(
-        cls, context: Context, flags: MemFlags, buffer: np.ndarray
-    ) -> "Buffer":
-        """Wrap externally-owned device words (an arena row) as a Buffer.
-
-        No allocation and no H2D transfer happen — the bytes already
-        live in the arena; releasing only retires the handle.
-        """
-        buf = cls.__new__(cls)
-        buf._data = buffer
-        buf.context = context
-        buf.flags = flags
-        buf.released = False
-        context.register(buf)
-        return buf
-
     @property
     def nbytes(self) -> int:
         return self._data.nbytes

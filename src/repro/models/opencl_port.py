@@ -294,17 +294,6 @@ class OpenCLPort(Port):
     def _device_array(self, name: str) -> np.ndarray:
         return self.buffers[name].device_view.reshape(self._rows, self._pitch)
 
-    # Kernels take their buffers per set_arg round, so swapping the dict
-    # entry for an adopting Buffer is safe; the old one is released so
-    # any stale use fails loudly.
-    supports_field_binding = True
-
-    def bind_field(self, name: str, flat: np.ndarray) -> None:
-        old = self.buffers[name]
-        self.buffers[name] = Buffer.adopt(self.context, MemFlags.READ_WRITE, flat)
-        old.release()
-        self.invalidate_residency((name,))
-
     # ------------------------------------------------------------------ #
     # launch helpers (the set_arg boilerplate)
     # ------------------------------------------------------------------ #

@@ -94,14 +94,6 @@ class OpenMP3Port(Port):
     def _device_array(self, name: str) -> np.ndarray:
         return self.fields[name]
 
-    # Plain host arrays: adopting an arena row is a dict rebind (kernels
-    # resolve ``self.fields[name]`` per call, so rebinding is safe).
-    supports_field_binding = True
-
-    def bind_field(self, name: str, flat: np.ndarray) -> None:
-        self._host_fields[name] = flat.reshape(self.grid.shape)
-        self.invalidate_residency((name,))
-
     # ------------------------------------------------------------------ #
     # kernels
     # ------------------------------------------------------------------ #

@@ -62,10 +62,6 @@ class OpenMP4Port(OpenMP3Port):
     #: compiler must respect, so no fusion across this port.
     supports_fusion = False
     has_data_region = True
-    #: The device data environment *copies* host arrays on map, so field
-    #: storage cannot alias externally-owned arena memory (inherited
-    #: OpenMP3 binding would silently bypass the mapped copies).
-    supports_field_binding = False
 
     def __init__(self, grid: Grid2D, trace: Trace | None = None) -> None:
         super().__init__(grid, trace, dialect="f90")

@@ -84,13 +84,6 @@ class OpSpec:
     writes_arg: int | None = None
     #: When True, every string arg names a field that is read.
     reads_args: bool = False
-    #: Fields some *interpreted* port implementations clobber as private
-    #: staging even though they are outside the declared dataflow (the
-    #: cheby kernels stage ``A u`` through ``w``).  Ignored by fusion,
-    #: codegen and residency — but the liveness pass must treat them as
-    #: use+def so arena slot sharing never hands the staging bytes to a
-    #: concurrently-live field.
-    scratch_writes: tuple[str, ...] = ()
 
     def written(self, args: tuple[Any, ...]) -> tuple[str, ...]:
         out = self.writes
@@ -172,14 +165,12 @@ OPS: dict[str, OpSpec] = dict(
             reads=(F.U, F.U0, F.KX, F.KY),
             stencil_reads=(F.U, F.KX, F.KY),
             writes=(F.R, F.SD, F.U),
-            scratch_writes=(F.W,),
         ),
         _op(
             "cheby_iterate",
             reads=(F.R, F.SD, F.U, F.KX, F.KY),
             stencil_reads=(F.SD, F.KX, F.KY),
             writes=(F.R, F.SD, F.U),
-            scratch_writes=(F.W,),
         ),
         _op(
             "ppcg_precon_init",
@@ -540,9 +531,9 @@ def _can_fuse(group: list[KernelCall], cand: KernelCall) -> bool:
 def _guard_for(call: KernelCall) -> GuardStep | None:
     """The detection step the instrumentation pass places after ``call``.
 
-    Mirrors the historical ``GuardedPort`` hook table: which reductions
-    are isfinite-guarded (and under which label), which feed the residual
-    monitor, and which calls complete a solver iteration.
+    Decides which reductions are isfinite-guarded (and under which
+    label), which feed the residual monitor, and which calls complete a
+    solver iteration.
     """
     op = call.op
     if op == "cg_calc_ur":
@@ -829,8 +820,7 @@ class LiveEvent:
 
     ``uses`` are read before ``defs`` are written, except that an
     operation's stencil reads and its writes genuinely interleave cell
-    by cell — which is why interference below treats same-event use and
-    def as conflicting.
+    by cell — which is why the live set at an event holds both.
     """
 
     index: int
@@ -851,13 +841,8 @@ def _step_dataflow(step: Step) -> list[tuple[str, tuple[str, ...], tuple[str, ..
     """(label, uses, defs) entries for one raw plan step."""
     if isinstance(step, KernelCall):
         op = step.spec
-        uses = tuple(
-            dict.fromkeys(
-                op.read_fields(step.args) + op.stencil_reads + op.scratch_writes
-            )
-        )
-        defs = tuple(dict.fromkeys(op.written(step.args) + op.scratch_writes))
-        return [(step.op, uses, defs)]
+        uses = tuple(dict.fromkeys(op.read_fields(step.args) + op.stencil_reads))
+        return [(step.op, uses, op.written(step.args))]
     if isinstance(step, HaloStep):
         # The reflective exchange derives ghost layers from the interior:
         # a use (of the interior) and a def (of the ghosts) of each name.
@@ -886,7 +871,7 @@ def plan_live_in(plan: Plan) -> frozenset[str]:
 
 @dataclass(frozen=True)
 class FieldLiveness:
-    """Per-field live ranges and arena slot assignment for one solve cycle.
+    """Per-field live ranges and the poison release schedule of a solve cycle.
 
     Computed over a canonical timeline (prologue, solver fragments with
     loop bodies unrolled twice, epilogue, observe) that repeats every
@@ -899,23 +884,13 @@ class FieldLiveness:
     #: use/def conflict by construction — stencil sweeps interleave).
     live: tuple[frozenset[str], ...]
     #: Fields read by the cycle before it redefines them (live across the
-    #: timestep boundary; never arena-eligible).
+    #: timestep boundary; never poisoned).
     live_in: frozenset[str]
-    #: WORK-role fields whose every cycle fully re-derives them — the
-    #: arena candidate set, in slot-assignment order.
-    arena_fields: tuple[str, ...]
-    #: Arena slot per eligible field (interference-graph coloring).
-    slots: dict[str, int]
-    slot_count: int
-    #: Eligible fields every *consuming plan* defines before reading — a
-    #: NaN poison of their slot after any plan that touches them can
-    #: never be observed by a correct run.
-    self_contained: frozenset[str]
+    #: WORK-role fields every cycle fully re-derives before reading them:
+    #: dead at step entry, in allocation order.
+    dead_at_entry: tuple[str, ...]
     #: plan name -> fields safely poisonable when that plan completes.
     releases: dict[str, tuple[str, ...]]
-
-    def interfere(self, a: str, b: str) -> bool:
-        return any(a in p and b in p for p in self.live)
 
     def segments(self, name: str) -> list[tuple[int, int]]:
         """Maximal [start, end] event-index runs where ``name`` is live."""
@@ -930,13 +905,13 @@ class FieldLiveness:
 
 
 def compute_liveness(timeline: Sequence[Plan]) -> FieldLiveness:
-    """Live ranges + arena slots for a canonical cyclic plan timeline.
+    """Live ranges + poison releases for a canonical cyclic plan timeline.
 
     ``timeline`` is the ordered plan sequence of one timestep with loop
     bodies repeated twice — the second unroll gives every loop position a
     successor iteration, so loop-carried fields (``p`` across CG
-    iterations, ``sd`` across Chebyshev iterations) interfere exactly as
-    they do mid-loop.
+    iterations, ``sd`` across Chebyshev iterations) stay live across the
+    back edge exactly as they do mid-loop.
     """
     rows: list[tuple[str, int, str, tuple, tuple]] = []
     for plan in timeline:
@@ -964,31 +939,11 @@ def compute_liveness(timeline: Sequence[Plan]) -> FieldLiveness:
         live -= set(ev.defs)
         live |= set(ev.uses)
 
-    touched = {n for ev in events for n in ev.uses + ev.defs}
-    eligible = [
+    dead_at_entry = tuple(
         n
         for n in F.FIELD_ORDER
         if F.role(n) is F.FieldRole.WORK and n not in live_in
-    ]
-
-    # First live position orders the greedy coloring (classic left-edge).
-    def first_pos(name: str) -> int:
-        for i, p in enumerate(live_sets):
-            if name in p:
-                return i
-        return len(live_sets)  # never live: shares with anything
-
-    slots: dict[str, int] = {}
-    slot_members: dict[int, list[str]] = {}
-    for name in sorted(eligible, key=first_pos):
-        s = 0
-        while any(
-            any(name in p and m in p for p in live_sets)
-            for m in slot_members.get(s, ())
-        ):
-            s += 1
-        slots[name] = s
-        slot_members.setdefault(s, []).append(name)
+    )
 
     # Self-contained fields: every plan that uses them defines them
     # first, so their value never crosses a plan boundary and a poison
@@ -996,37 +951,22 @@ def compute_liveness(timeline: Sequence[Plan]) -> FieldLiveness:
     all_live_in: set[str] = set(_OBSERVE_USES)
     for plan in timeline:
         all_live_in |= plan_live_in(plan)
-    self_contained = frozenset(
-        n for n in eligible if n in touched and n not in all_live_in
-    )
+    self_contained = [n for n in dead_at_entry if n not in all_live_in]
 
     releases: dict[str, tuple[str, ...]] = {}
     for plan in timeline:
-        if plan.name in releases:
-            continue
         plan_touched = {
             n for _, _, _, uses, defs in plan_events(plan) for n in uses + defs
         }
-        dead: list[str] = []
-        for n in self_contained:
-            if n not in plan_touched:
-                continue
-            # Poisoning fills the whole slot: only safe when every other
-            # field sharing it is never touched by this solver at all.
-            partners = [m for m in slot_members[slots[n]] if m != n]
-            if all(m not in touched for m in partners):
-                dead.append(n)
+        dead = tuple(n for n in self_contained if n in plan_touched)
         if dead:
-            releases[plan.name] = tuple(dead)
+            releases[plan.name] = dead
 
     return FieldLiveness(
         events=events,
         live=tuple(live_sets),
         live_in=frozenset(live_in),
-        arena_fields=tuple(sorted(eligible, key=first_pos)),
-        slots=slots,
-        slot_count=len(slot_members),
-        self_contained=self_contained,
+        dead_at_entry=dead_at_entry,
         releases=releases,
     )
 
@@ -1101,34 +1041,22 @@ class PlanExecutor:
         from repro.models.codegen import CACHE_STATS
 
         self._codegen_stats_base = (CACHE_STATS["hits"], CACHE_STATS["misses"])
-        #: Batched multi-deck execution: when a conductor is attached
-        #: (``repro.core.batch``) every :class:`CompiledKernel` dispatch
-        #: rendezvouses there so one generated function can sweep all
-        #: lanes' fields at once.  ``None`` costs one attribute test.
-        self.batch_conductor: Any = None
-        self.batch_lane: int = 0
-        # Arena poison bookkeeping — see :meth:`attach_arena`.
-        self._arena: Any = None
-        self._arena_lane: int = 0
-        self._poison_after: dict[str, tuple[str, ...]] = {}
+        #: Debug poison schedule: plan name -> fields NaN-filled when that
+        #: plan completes (the liveness pass's
+        #: :attr:`FieldLiveness.releases`).  Empty costs one lookup.
+        self.poison_after: dict[str, tuple[str, ...]] = {}
 
-    def attach_arena(
-        self,
-        arena: Any,
-        lane: int,
-        releases: Mapping[str, tuple[str, ...]] | None = None,
-    ) -> None:
-        """Wire an arena lane (and optional poison schedule) to this executor.
+    def poison(self, names: Sequence[str]) -> None:
+        """NaN-fill ``names`` in the port's own device arrays.
 
-        ``releases`` maps plan names to the fields whose slots are
-        NaN-poisoned when that plan finishes (the liveness pass's
-        :attr:`FieldLiveness.releases`): any later read of a dead work
-        field then surfaces as a loud non-finite failure instead of a
-        silent stale value.
+        Used at a field's death point: any later read before the next
+        definition surfaces as a non-finite guard failure instead of a
+        silently stale value.  The host mirrors of the poisoned fields
+        are dropped, exactly as for a checkpoint restore.
         """
-        self._arena = arena
-        self._arena_lane = lane
-        self._poison_after = dict(releases or {})
+        for name in names:
+            self.port._device_array(name).fill(math.nan)
+        self.port.invalidate_residency(names)
 
     def codegen_cache_stats(self) -> dict[str, int]:
         """Codegen function-cache hits/misses since this executor began.
@@ -1176,12 +1104,7 @@ class PlanExecutor:
                     )
                 else:
                     argv = step.argv
-                if self.batch_conductor is not None:
-                    results = self.batch_conductor.submit(
-                        self.batch_lane, port, step, argv
-                    )
-                else:
-                    results = port.dispatch_compiled(step, argv)
+                results = port.dispatch_compiled(step, argv)
                 for call, value in zip(step.calls, results):
                     self._store(call, value, env)
                 if m is not None:
@@ -1259,10 +1182,9 @@ class PlanExecutor:
                         m.iteration_complete(port)
             else:  # pragma: no cover - plans are built from known steps
                 raise TypeError(f"unknown plan step {step!r}")
-        if self._poison_after:
-            dead = self._poison_after.get(plan.name)
-            if dead:
-                self._arena.poison(dead, self._arena_lane, port)
+        dead = self.poison_after.get(plan.name)
+        if dead:
+            self.poison(dead)
         return env
 
     @staticmethod
@@ -1287,7 +1209,7 @@ def executor_for(port: Any) -> PlanExecutor:
     semantics — every call through the public kernel methods, unfused.
 
     The attached executor is only honoured when it drives *this exact
-    object*: a delegating proxy (GuardedPort, lockstep harness) inherits
+    object*: a delegating proxy (the lockstep harness) inherits
     ``plan_executor`` from the port it wraps, and reusing that executor
     would dispatch straight to the inner port, silently bypassing the
     proxy's interception.

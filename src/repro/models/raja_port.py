@@ -143,15 +143,6 @@ class RAJAPort(Port):
     def _device_array(self, name: str) -> np.ndarray:
         return self.fields[name]
 
-    # Kernels resolve fields (and their ``_flat`` ravel views, which stay
-    # zero-copy on the contiguous arena rows) per call, so a dict rebind
-    # is all adoption takes.
-    supports_field_binding = True
-
-    def bind_field(self, name: str, flat: np.ndarray) -> None:
-        self.fields[name] = flat.reshape(self.grid.shape)
-        self.invalidate_residency((name,))
-
     # ------------------------------------------------------------------ #
     def _matvec(self, i: np.ndarray, v: np.ndarray) -> np.ndarray:
         kx, ky = self._flat(F.KX), self._flat(F.KY)

@@ -42,7 +42,6 @@ from repro.resilience.events import (
     ResilienceReport,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec, parse_injections
-from repro.resilience.guard import GuardedPort
 from repro.resilience.ranks import (
     RANK_POLICIES,
     SNAPSHOT_FIELDS,
@@ -83,7 +82,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "parse_injections",
-    "GuardedPort",
     "RECOVERABLE_ERRORS",
     "ResilienceConfig",
     "ResilienceManager",

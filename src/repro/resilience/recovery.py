@@ -132,9 +132,8 @@ class ResilienceManager:
         #: checkpoints copy only these; everything else is shared from the
         #: previous snapshot.
         self.dirty_since_checkpoint: set[str] = set()
-        #: True once an executor has started journalling writes — legacy
-        #: drivers (GuardedPort harnesses) never set it, so they keep the
-        #: conservative full-snapshot behaviour.
+        #: True once an executor has started journalling writes; until
+        #: then every capture is a conservative full snapshot.
         self._journal_active = False
         #: Last-seen solver scalars (rro/beta/eigen estimates...), captured
         #: into checkpoints and restored on rollback so a resumed solve is

@@ -251,7 +251,7 @@ class TestExecutor:
         assert ex.port is port and ex.fuse is False
 
     def test_executor_for_rejects_inherited_executor(self):
-        # A delegating proxy (GuardedPort, lockstep) exposes the inner
+        # A delegating proxy (the lockstep harness) exposes the inner
         # port's executor; reusing it would bypass the proxy.
         inner = _RecordingPort()
         inner.plan_executor = PlanExecutor(inner)

@@ -1,10 +1,12 @@
-"""Fusion and residency tracking are pure optimisations.
+"""Fusion, residency tracking and dead-field poison are invisible.
 
-Turning either on must leave the solve bitwise-identical — same solution
-field, same iteration trajectory, same field summary — while measurably
-reducing the cost structure it targets: fewer kernel launches on ports
-that declare fusion legal, fewer host<->device transfers on offload
-ports that keep data resident across steps.
+Turning fusion or residency on must leave the solve bitwise-identical —
+same solution field, same iteration trajectory, same field summary —
+while measurably reducing the cost structure it targets: fewer kernel
+launches on ports that declare fusion legal, fewer host<->device
+transfers on offload ports that keep data resident across steps.  Poison
+mode must be just as invisible to a correct run, yet fail loudly the
+moment a kernel reads a field the liveness pass declared dead.
 """
 
 import dataclasses
@@ -13,10 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.comm.multichunk import MultiChunkPort
 from repro.core import fields as F
-from repro.core.deck import parse_deck_file
-from repro.core.driver import TeaLeaf
-from repro.models.tracing import EventKind
+from repro.core.deck import default_deck, parse_deck_file
+from repro.core.driver import TeaLeaf, deck_liveness
+from repro.models.base import available_models
+from repro.models.tracing import EventKind, Trace
+from repro.util.errors import CorruptionError, DeckError
 
 DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
 
@@ -122,35 +127,61 @@ def test_fusion_stays_on_under_fault_injection():
     assert fused.trace.kernel_launches() < base.trace.kernel_launches()
 
 
-#: Port families that can rebind field storage onto an external arena.
-BINDING_MODELS = ["openmp-f90", "kokkos", "raja", "cuda", "opencl"]
+#: The five solver setups the liveness pass distinguishes:
+#: (solver, preconditioner).
+SOLVER_SETUPS = {
+    "cg": ("cg", "none"),
+    "cg-jac_diag": ("cg", "jac_diag"),
+    "chebyshev": ("chebyshev", "none"),
+    "ppcg": ("ppcg", "none"),
+    "jacobi": ("jacobi", "none"),
+}
+
+#: Plain, then every optimisation that touches the arrays poison fills.
+POISON_FLAG_SETS = [
+    {},
+    {"tl_fuse_kernels": True, "tl_codegen": True, "tl_residency_tracking": True},
+]
 
 
-@pytest.mark.parametrize("model", BINDING_MODELS)
-def test_arena_with_poison_bitwise_identical(model):
-    """Slot-shared arena storage plus NaN poison-on-release is invisible:
-    the liveness pass only merges fields whose values never coexist, and
-    poisoning a dead slot can only be observed by a stale read."""
-    base_app, base = run(model)
-    arena_app, arena = run(
-        model, tl_field_arena=True, tl_arena_poison=True
+def small_run(model, setup, **overrides):
+    # On 32x32 Chebyshev and PPCG get past their CG bootstrap (on 24x24
+    # they converge inside it), so their own plans and releases run.
+    solver, precon = SOLVER_SETUPS[setup]
+    deck = dataclasses.replace(
+        default_deck(n=32, solver=solver, end_step=2),
+        tl_preconditioner_type=precon,
+        **overrides,
     )
-    assert arena_app.arena is not None
-    assert arena.fallbacks == []
-    assert np.array_equal(base_app.field(F.U), arena_app.field(F.U))
-    assert observables(base_app, base)[1:] == observables(arena_app, arena)[1:]
-    stats = arena_app.arena.stats()
-    # The point of the arena: fewer slots than work fields.
-    assert stats["slot_count"] < len(stats["arena_fields"])
-    assert stats["arena_bytes"] < stats["work_field_bytes"]
+    app = TeaLeaf(deck, model=model)
+    return app, app.run()
 
 
-def test_arena_poison_composes_with_codegen_fusion_residency():
+@pytest.mark.parametrize("setup", sorted(SOLVER_SETUPS))
+@pytest.mark.parametrize("model", available_models())
+def test_poison_is_bitwise_invisible(model, setup):
+    """NaN-filling each work field at its proven death points changes
+    nothing a correct run computes — on every port, including the
+    data-region ones whose device copies the poison must reach."""
+    base_app, base = small_run(model, setup)
+    for flags in POISON_FLAG_SETS:
+        app, result = small_run(model, setup, tl_poison_dead_fields=True, **flags)
+        assert result.fallbacks == []
+        assert np.array_equal(base_app.field(F.U), app.field(F.U))
+        assert observables(base_app, base)[1:] == observables(app, result)[1:]
+        # The poison really ran: some dead work field still holds NaN.
+        assert any(
+            np.isnan(app.port.read_field(name)).all() for name in F.FIELD_ORDER
+        ), flags
+
+
+def test_poison_composes_with_codegen_fusion_residency():
+    """On the golden deck, poison stays invisible with every optimisation
+    that touches the arrays it fills turned on at once."""
     base_app, base = run("openmp-f90")
     app, result = run(
         "openmp-f90",
-        tl_field_arena=True,
-        tl_arena_poison=True,
+        tl_poison_dead_fields=True,
         tl_fuse_kernels=True,
         tl_codegen=True,
         tl_residency_tracking=True,
@@ -160,13 +191,88 @@ def test_arena_poison_composes_with_codegen_fusion_residency():
     assert observables(base_app, base)[1:] == observables(app, result)[1:]
 
 
-@pytest.mark.parametrize("model", REGION_MODELS)
-def test_arena_falls_back_loudly_on_data_region_ports(model):
-    """Data-region ports copy host arrays on map, so they cannot alias
-    arena rows: the flag degrades to persistent arrays with a recorded
-    fallback, never silently."""
-    base_app, base = run(model)
-    app, result = run(model, tl_field_arena=True)
-    assert app.arena is None
-    assert any("tl_field_arena" in message for message in result.fallbacks)
-    assert np.array_equal(base_app.field(F.U), app.field(F.U))
+@pytest.mark.parametrize("codegen", [False, True], ids=["interpreted", "codegen"])
+@pytest.mark.parametrize("model", ["openmp-f90", "cuda", "openmp4"])
+def test_poison_catches_a_stale_read(model, codegen):
+    """A wrong release schedule that kills the loop-carried search
+    direction ``p`` after ``cg_iter_tail`` must fail on the next
+    iteration's ``p.w`` reduction instead of reusing the stale bytes."""
+    deck = dataclasses.replace(
+        parse_deck_file(DECK), tl_poison_dead_fields=True, tl_codegen=codegen
+    )
+    app = TeaLeaf(deck, model=model)
+    app.executor.poison_after = {"cg_iter_tail": (F.P,)}
+    with pytest.raises(CorruptionError, match="non-finite solver scalar pw"):
+        app.run()
+
+
+def test_poison_falls_back_loudly_on_decomposed_port():
+    """A decomposed port keeps each field per chunk, so it has no single
+    array to poison: the flag is recorded as a fallback naming the port's
+    own model, never dropped silently."""
+    deck = dataclasses.replace(
+        default_deck(n=16, end_step=1), tl_poison_dead_fields=True
+    )
+    trace = Trace()
+    port = MultiChunkPort(deck.grid(), 2, model="openmp-f90", trace=trace)
+    result = TeaLeaf(deck, port=port, trace=trace).run()
+    messages = [m for m in result.fallbacks if "tl_poison_dead_fields" in m]
+    assert len(messages) == 1 and "'openmp-f90+mpi(2)'" in messages[0]
+
+
+class TestLiveness:
+    """The liveness pass behind the poison release schedule."""
+
+    def test_cyclic_live_in_is_the_carried_state(self):
+        lv = deck_liveness(default_deck(n=16, solver="cg"))
+        assert lv.live_in == frozenset({F.DENSITY, F.ENERGY0})
+        assert set(lv.dead_at_entry) == {"u", "u0", "p", "r", "w", "sd", "z"}
+
+    def test_ppcg_releases_sd_after_each_preconditioner_plan(self):
+        releases = deck_liveness(default_deck(n=16, solver="ppcg")).releases
+        precon = [name for name in releases if name.startswith("ppcg_precon")]
+        assert precon
+        assert all(releases[name] == ("sd",) for name in precon)
+
+    def test_jac_diag_releases_z_after_setup_and_tail(self):
+        deck = dataclasses.replace(
+            default_deck(n=16, solver="cg"), tl_preconditioner_type="jac_diag"
+        )
+        # Every plan that reads z re-derives it first, so z dies after
+        # each of them.
+        assert deck_liveness(deck).releases == {
+            "pcg_setup": ("z",),
+            "pcg_iter_tail": ("z",),
+        }
+
+    def test_jacobi_releases_p_and_w_after_init(self):
+        # jacobi_init reuses cg_init, whose p and w outputs nothing reads.
+        lv = deck_liveness(default_deck(n=16, solver="jacobi"))
+        assert lv.releases == {"jacobi_init": ("p", "w")}
+
+    def test_segments_cover_only_live_events(self):
+        lv = deck_liveness(default_deck(n=16, solver="cg"))
+        for a, b in lv.segments("w"):
+            assert all("w" in lv.live[i] for i in range(a, b + 1))
+        assert lv.segments("sd") == []
+
+
+class TestDeckValidation:
+    def test_poison_rejects_resilience(self):
+        with pytest.raises(DeckError, match="tl_resilient"):
+            dataclasses.replace(
+                default_deck(n=16), tl_poison_dead_fields=True, tl_resilient=True
+            )
+
+    def test_poison_rejects_explicit_solver(self):
+        with pytest.raises(DeckError, match="explicit"):
+            dataclasses.replace(
+                default_deck(n=16), solver="explicit", tl_poison_dead_fields=True
+            )
+
+    def test_poison_deck_file_flag_parses(self, tmp_path):
+        path = tmp_path / "poison.in"
+        path.write_text(
+            DECK.read_text().replace("*endtea", "tl_poison_dead_fields\n*endtea")
+        )
+        assert parse_deck_file(path).tl_poison_dead_fields
