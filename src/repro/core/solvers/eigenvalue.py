@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from repro.util.errors import SolverError
 
@@ -93,6 +92,10 @@ def estimate_eigenvalues(
     safety_high: float = SAFETY_HIGH,
 ) -> EigenEstimate:
     """Ritz-value spectral interval from recorded CG scalars, widened."""
+    # Imported here: only Chebyshev and PPCG need scipy, and a CG run
+    # should not pay for loading it.
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = lanczos_tridiagonal(alphas, betas)
     ritz = eigh_tridiagonal(diag, off, eigvals_only=True)
     eigen_min = float(ritz[0]) * safety_low

@@ -12,16 +12,27 @@ No per-cell frames, no per-slab dispatch, no per-call method lookups.
 
 Bitwise contract
 ----------------
-Generated bodies reuse the exact shared arithmetic helpers the
-interpreted ports use (:func:`~repro.models.stencil.row_matvec`,
-:func:`~repro.models.stencil.row_diag`,
-:func:`~repro.models.stencil.face_coefficient`,
-:func:`~repro.models.loopbodies.zero_boundary_coefficients`) with the
-same association orders over the same full-interior slices, and every
+Generated bodies evaluate the same ufuncs, in the same association
+orders, over the same full-interior slices as the interpreted ports:
+the stencil goes through :func:`~repro.models.stencil.matvec_into` /
+:func:`~repro.models.stencil.diag_into` (the ``out=`` forms of
+``row_matvec``/``row_diag``), the per-timestep set-up through the shared
+:func:`~repro.models.stencil.face_coefficient` and
+:func:`~repro.models.loopbodies.zero_boundary_coefficients`, and every
 reduction feeds its row-major contribution vector through
 :func:`~repro.models.reduction.deterministic_sum` — the same pairwise
 tree every port finalises with.  A codegen run is therefore
 bit-for-bit identical to the interpreted run on every port.
+
+Scratch rule
+------------
+The per-iteration bodies allocate nothing the size of the mesh.  Each
+ufunc writes through ``out=``: a result lands straight in its
+destination field's interior view, and an intermediate in one of the
+context's three interior-shaped scratch arrays ``T0``-``T2``.  Every
+body writes a scratch array before it reads it, so nothing is carried in
+scratch between calls, and checkpoints, poison and residency, which see
+only fields, never see it.
 
 Caching
 -------
@@ -51,11 +62,11 @@ from repro.core.operators import RECIP_CONDUCTIVITY
 from repro.models.loopbodies import zero_boundary_coefficients
 from repro.models.plan import OPS, Bind, CompiledKernel, FusedGroup, KernelCall
 from repro.models.reduction import deterministic_sum
-from repro.models.stencil import face_coefficient, row_diag, row_matvec
+from repro.models.stencil import diag_into, face_coefficient, matvec_into
 
 
 class CodegenContext:
-    """Geometry + array access environment for generated bodies.
+    """Geometry, array access and scratch for generated bodies.
 
     One per port, built lazily by ``Port._codegen_ctx``.  ``array`` is
     the port's ``_device_array`` accessor — the same arrays the halo
@@ -63,11 +74,16 @@ class CodegenContext:
     interpreted ``_k_*`` primitives write.  ``dx2``/``dy2`` are the
     precomputed squares: ports compute ``rx = dt / (dx*dx)``, and the
     generated code must divide by the identical product to match bits.
+
+    ``T0``-``T2`` are the interior-shaped scratch arrays of the module's
+    scratch rule, allocated once here.  Sharing them across every body
+    the port runs relies on one port never being driven from two threads
+    at once; nothing in ``src/`` does that.
     """
 
     __slots__ = (
         "array", "h", "nx", "ny", "dx2", "dy2",
-        "I", "Ip", "Im", "J", "Jp", "Jm",
+        "I", "Ip", "Im", "J", "Jp", "Jm", "T0", "T1", "T2",
     )
 
     def reduce(self, values: np.ndarray) -> float:
@@ -95,6 +111,9 @@ class CodegenContext:
         self.J = slice(h, h + nx)
         self.Jp = slice(h + 1, h + nx + 1)
         self.Jm = slice(h - 1, h + nx - 1)
+        self.T0 = np.empty((ny, nx))
+        self.T1 = np.empty((ny, nx))
+        self.T2 = np.empty((ny, nx))
 
 
 # --------------------------------------------------------------------- #
@@ -119,8 +138,11 @@ class _Template:
     launches: Callable[[KernelCall], tuple[tuple[str, KernelSpec | None], ...]] | None = None
 
 
-def _mv(v: str) -> str:
-    return f"row_matvec(v_{v}, v_kx, v_ky, I, Im, Ip, J, Jm, Jp)"
+def _mv(v: str, out: str, t0: str, t1: str) -> str:
+    return (
+        f"matvec_into(v_{v}, v_kx, v_ky, I, Im, Ip, J, Jm, Jp, "
+        f"{out}, {t0}, {t1})"
+    )
 
 
 _NONE = "res.append(None)"
@@ -133,7 +155,8 @@ def _e_set_field(L: list[str], args: tuple, k: int) -> None:
 def _e_tea_leaf_init(L: list[str], args: tuple, k: int) -> None:
     # rx/ry fold dt into the face coefficients; the coefficient-mode
     # branch stays a runtime test on argv so the generated source is
-    # shared between conductivity modes (and dt values).
+    # shared between conductivity modes (and dt values).  Runs once per
+    # timestep, so it keeps the expression form.
     L += [
         f"dt_{k} = argv[{k}][0]",
         f"rx_{k} = dt_{k} / ctx.dx2",
@@ -156,61 +179,81 @@ def _e_tea_leaf_init(L: list[str], args: tuple, k: int) -> None:
 
 
 def _e_tea_leaf_residual(L: list[str], args: tuple, k: int) -> None:
-    L += [f"v_r[I, J] = v_u0[I, J] - {_mv('u')}", _NONE]
+    # A u lands in r's interior, then r = u0 - r in place.
+    L += [
+        _mv("u", "v_r[I, J]", "T0", "T1"),
+        "np.subtract(v_u0[I, J], v_r[I, J], out=v_r[I, J])",
+        _NONE,
+    ]
 
 
 def _e_cg_init(L: list[str], args: tuple, k: int) -> None:
     L += [
-        f"v_w[I, J] = {_mv('u')}",
-        "v_r[I, J] = v_u0[I, J] - v_w[I, J]",
+        _mv("u", "v_w[I, J]", "T0", "T1"),
+        "np.subtract(v_u0[I, J], v_w[I, J], out=v_r[I, J])",
         "v_p[I, J] = v_r[I, J]",
-        f"rr_{k} = v_r[I, J]",
-        f"res.append(RD(rr_{k} * rr_{k}))",
+        "np.multiply(v_r[I, J], v_r[I, J], out=T0)",
+        "res.append(RD(T0))",
     ]
 
 
 def _e_cg_calc_w(L: list[str], args: tuple, k: int) -> None:
     L += [
-        f"v_w[I, J] = {_mv('p')}",
-        "res.append(RD(v_p[I, J] * v_w[I, J]))",
+        _mv("p", "v_w[I, J]", "T0", "T1"),
+        "np.multiply(v_p[I, J], v_w[I, J], out=T0)",
+        "res.append(RD(T0))",
     ]
 
 
 def _e_cg_calc_ur(L: list[str], args: tuple, k: int) -> None:
     L += [
         f"a_{k} = argv[{k}][0]",
-        f"v_u[I, J] += a_{k} * v_p[I, J]",
-        f"v_r[I, J] -= a_{k} * v_w[I, J]",
-        f"rr_{k} = v_r[I, J]",
-        f"res.append(RD(rr_{k} * rr_{k}))",
+        f"np.multiply(a_{k}, v_p[I, J], out=T0)",
+        "np.add(v_u[I, J], T0, out=v_u[I, J])",
+        f"np.multiply(a_{k}, v_w[I, J], out=T0)",
+        "np.subtract(v_r[I, J], T0, out=v_r[I, J])",
+        "np.multiply(v_r[I, J], v_r[I, J], out=T0)",
+        "res.append(RD(T0))",
     ]
 
 
 def _e_cg_calc_p(L: list[str], args: tuple, k: int) -> None:
-    L += [f"v_p[I, J] = v_r[I, J] + argv[{k}][0] * v_p[I, J]", _NONE]
+    L += [
+        f"np.multiply(argv[{k}][0], v_p[I, J], out=v_p[I, J])",
+        "np.add(v_r[I, J], v_p[I, J], out=v_p[I, J])",
+        _NONE,
+    ]
 
 
 def _e_ppcg_calc_p(L: list[str], args: tuple, k: int) -> None:
-    L += [f"v_p[I, J] = v_z[I, J] + argv[{k}][0] * v_p[I, J]", _NONE]
+    L += [
+        f"np.multiply(argv[{k}][0], v_p[I, J], out=v_p[I, J])",
+        "np.add(v_z[I, J], v_p[I, J], out=v_p[I, J])",
+        _NONE,
+    ]
 
 
 def _e_cheby_init(L: list[str], args: tuple, k: int) -> None:
     # The interpreted bodies stage A u through the w workspace; w is not
     # in this op's declared write set (every consumer rewrites it first),
-    # so the generated body keeps the matvec in a local instead.
+    # so the generated body stages it in r, which it overwrites anyway.
     L += [
-        f"v_r[I, J] = v_u0[I, J] - {_mv('u')}",
-        f"v_sd[I, J] = v_r[I, J] / argv[{k}][0]",
-        "v_u[I, J] += v_sd[I, J]",
+        _mv("u", "v_r[I, J]", "T0", "T1"),
+        "np.subtract(v_u0[I, J], v_r[I, J], out=v_r[I, J])",
+        f"np.divide(v_r[I, J], argv[{k}][0], out=v_sd[I, J])",
+        "np.add(v_u[I, J], v_sd[I, J], out=v_u[I, J])",
         _NONE,
     ]
 
 
 def _e_cheby_iterate(L: list[str], args: tuple, k: int) -> None:
     L += [
-        f"v_r[I, J] -= {_mv('sd')}",
-        f"v_sd[I, J] = argv[{k}][0] * v_sd[I, J] + argv[{k}][1] * v_r[I, J]",
-        "v_u[I, J] += v_sd[I, J]",
+        _mv("sd", "T0", "T1", "T2"),
+        "np.subtract(v_r[I, J], T0, out=v_r[I, J])",
+        f"np.multiply(argv[{k}][0], v_sd[I, J], out=v_sd[I, J])",
+        f"np.multiply(argv[{k}][1], v_r[I, J], out=T0)",
+        "np.add(v_sd[I, J], T0, out=v_sd[I, J])",
+        "np.add(v_u[I, J], v_sd[I, J], out=v_u[I, J])",
         _NONE,
     ]
 
@@ -218,7 +261,7 @@ def _e_cheby_iterate(L: list[str], args: tuple, k: int) -> None:
 def _e_ppcg_precon_init(L: list[str], args: tuple, k: int) -> None:
     L += [
         "v_w[I, J] = v_r[I, J]",
-        f"v_sd[I, J] = v_w[I, J] / argv[{k}][0]",
+        f"np.divide(v_w[I, J], argv[{k}][0], out=v_sd[I, J])",
         "v_z[I, J] = v_sd[I, J]",
         _NONE,
     ]
@@ -226,16 +269,20 @@ def _e_ppcg_precon_init(L: list[str], args: tuple, k: int) -> None:
 
 def _e_ppcg_precon_inner(L: list[str], args: tuple, k: int) -> None:
     L += [
-        f"v_w[I, J] -= {_mv('sd')}",
-        f"v_sd[I, J] = argv[{k}][0] * v_sd[I, J] + argv[{k}][1] * v_w[I, J]",
-        "v_z[I, J] += v_sd[I, J]",
+        _mv("sd", "T0", "T1", "T2"),
+        "np.subtract(v_w[I, J], T0, out=v_w[I, J])",
+        f"np.multiply(argv[{k}][0], v_sd[I, J], out=v_sd[I, J])",
+        f"np.multiply(argv[{k}][1], v_w[I, J], out=T0)",
+        "np.add(v_sd[I, J], T0, out=v_sd[I, J])",
+        "np.add(v_z[I, J], v_sd[I, J], out=v_z[I, J])",
         _NONE,
     ]
 
 
 def _e_cg_precon_jacobi(L: list[str], args: tuple, k: int) -> None:
     L += [
-        "v_z[I, J] = v_r[I, J] / row_diag(v_kx, v_ky, I, Ip, J, Jp)",
+        "diag_into(v_kx, v_ky, I, Ip, J, Jp, v_z[I, J])",
+        "np.divide(v_r[I, J], v_z[I, J], out=v_z[I, J])",
         _NONE,
     ]
 
@@ -243,26 +290,35 @@ def _e_cg_precon_jacobi(L: list[str], args: tuple, k: int) -> None:
 def _e_jacobi_iterate(L: list[str], args: tuple, k: int) -> None:
     # Matches the shared shim: stash the old iterate in r (the port's
     # only free array), sweep u from it, return sum |u_new - u_old|.
+    # u = (u0 + kxE rE + kxW rW + kyN rN + kyS rS) / diag, left to right.
     L += [
         "v_r[...] = v_u",
-        f"diag_{k} = row_diag(v_kx, v_ky, I, Ip, J, Jp)",
-        "v_u[I, J] = (v_u0[I, J]"
-        " + v_kx[I, Jp] * v_r[I, Jp] + v_kx[I, J] * v_r[I, Jm]"
-        " + v_ky[Ip, J] * v_r[Ip, J] + v_ky[I, J] * v_r[Im, J]"
-        f") / diag_{k}",
-        "res.append(RD(np.abs(v_u[I, J] - v_r[I, J])))",
+        "diag_into(v_kx, v_ky, I, Ip, J, Jp, T0)",
+        "np.multiply(v_kx[I, Jp], v_r[I, Jp], out=T1)",
+        "np.add(v_u0[I, J], T1, out=v_u[I, J])",
+        "np.multiply(v_kx[I, J], v_r[I, Jm], out=T1)",
+        "np.add(v_u[I, J], T1, out=v_u[I, J])",
+        "np.multiply(v_ky[Ip, J], v_r[Ip, J], out=T1)",
+        "np.add(v_u[I, J], T1, out=v_u[I, J])",
+        "np.multiply(v_ky[I, J], v_r[Im, J], out=T1)",
+        "np.add(v_u[I, J], T1, out=v_u[I, J])",
+        "np.divide(v_u[I, J], T0, out=v_u[I, J])",
+        "np.subtract(v_u[I, J], v_r[I, J], out=T0)",
+        "np.absolute(T0, out=T0)",
+        "res.append(RD(T0))",
     ]
 
 
 def _e_norm2_field(L: list[str], args: tuple, k: int) -> None:
-    L += [
-        f"vv_{k} = v_{args[0]}[I, J]",
-        f"res.append(RD(vv_{k} * vv_{k}))",
-    ]
+    v = f"v_{args[0]}[I, J]"
+    L += [f"np.multiply({v}, {v}, out=T0)", "res.append(RD(T0))"]
 
 
 def _e_dot_fields(L: list[str], args: tuple, k: int) -> None:
-    L += [f"res.append(RD(v_{args[0]}[I, J] * v_{args[1]}[I, J]))"]
+    L += [
+        f"np.multiply(v_{args[0]}[I, J], v_{args[1]}[I, J], out=T0)",
+        "res.append(RD(T0))",
+    ]
 
 
 def _e_copy_field(L: list[str], args: tuple, k: int) -> None:
@@ -270,7 +326,10 @@ def _e_copy_field(L: list[str], args: tuple, k: int) -> None:
 
 
 def _e_tea_leaf_finalise(L: list[str], args: tuple, k: int) -> None:
-    L += [f"v_{F.ENERGY1}[I, J] = v_u[I, J] / v_{F.DENSITY}[I, J]", _NONE]
+    L += [
+        f"np.divide(v_u[I, J], v_{F.DENSITY}[I, J], out=v_{F.ENERGY1}[I, J])",
+        _NONE,
+    ]
 
 
 def _static(*names: str) -> Callable[[tuple], tuple[str, ...]]:
@@ -330,12 +389,11 @@ _TEMPLATES: dict[str, _Template] = {
 
 
 #: Exec environment for generated functions: NumPy plus the shared
-#: bitwise-contract helpers every interpreted port already uses.
+#: bitwise-contract helpers.
 _GLOBALS: dict[str, Any] = {
     "np": np,
-    "dsum": deterministic_sum,
-    "row_matvec": row_matvec,
-    "row_diag": row_diag,
+    "matvec_into": matvec_into,
+    "diag_into": diag_into,
     "face_coefficient": face_coefficient,
     "zero_boundary_coefficients": zero_boundary_coefficients,
     "RECIP": RECIP_CONDUCTIVITY,
@@ -371,7 +429,8 @@ def generate_source(calls: tuple[KernelCall, ...]) -> str:
     :class:`~repro.models.overlap.RegionSlices`): when given, the body's
     slices come from the region instead of the full-interior context, so
     the async overlap executor can run the same cached function over an
-    interior core or a boundary strip.  ``ctx.*`` geometry (``h``,
+    interior core or a boundary strip; the region also supplies
+    region-shaped views of the scratch arrays.  ``ctx.*`` geometry (``h``,
     ``nx``, ``dx2``...) stays whole-grid either way — only the
     whole-interior ops use it, and those are never region-split.
     """
@@ -381,6 +440,7 @@ def generate_source(calls: tuple[KernelCall, ...]) -> str:
         "    S = ctx if R is None else R",
         "    I = S.I; Ip = S.Ip; Im = S.Im",
         "    J = S.J; Jp = S.Jp; Jm = S.Jm",
+        "    T0 = S.T0; T1 = S.T1; T2 = S.T2",
         "    RD = S.reduce",
     ]
     fetched: list[str] = []

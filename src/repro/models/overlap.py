@@ -134,12 +134,14 @@ class RegionSlices:
     :class:`~repro.models.codegen.CodegenContext` supplies for the full
     interior, shifted to the region, so generated bodies (and the
     hand-written overlap bodies below) evaluate the identical per-cell
-    expressions over a sub-slab.
+    expressions over a sub-slab.  ``T0``-``T2`` are region-shaped views
+    of the context's scratch arrays.
     """
 
-    __slots__ = ("I", "Ip", "Im", "J", "Jp", "Jm")
+    __slots__ = ("I", "Ip", "Im", "J", "Jp", "Jm", "T0", "T1", "T2")
 
-    def __init__(self, h: int, region: Region) -> None:
+    def __init__(self, ctx: Any, region: Region) -> None:
+        h = ctx.h
         r0, r1, c0, c1 = region.r0, region.r1, region.c0, region.c1
         self.I = slice(h + r0, h + r1)
         self.Ip = slice(h + r0 + 1, h + r1 + 1)
@@ -147,6 +149,9 @@ class RegionSlices:
         self.J = slice(h + c0, h + c1)
         self.Jp = slice(h + c0 + 1, h + c1 + 1)
         self.Jm = slice(h + c0 - 1, h + c1 - 1)
+        self.T0 = ctx.T0[r0:r1, c0:c1]
+        self.T1 = ctx.T1[r0:r1, c0:c1]
+        self.T2 = ctx.T2[r0:r1, c0:c1]
 
     @staticmethod
     def reduce(values: Any) -> float:  # pragma: no cover - legality bars it
@@ -510,7 +515,7 @@ def execute_overlap(
     for cp, ctx, core, strips in chunks:
         if core is None:
             continue
-        S = RegionSlices(ctx.h, core)
+        S = RegionSlices(ctx, core)
         for call, t, args in zip(calls, templates, argv):
             if t.body is None:
                 continue
@@ -522,7 +527,7 @@ def execute_overlap(
 
     for cp, ctx, core, strips in chunks:
         for strip in strips:
-            S = RegionSlices(ctx.h, strip)
+            S = RegionSlices(ctx, strip)
             for call, t, args in zip(calls, templates, argv):
                 if t.body is None:
                     continue

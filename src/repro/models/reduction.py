@@ -51,24 +51,40 @@ def _tree_fold(rows: np.ndarray) -> np.ndarray:
     This is the shared-memory reduction loop —
     ``if (tid < stride) sdata[tid] += sdata[tid + stride]`` — applied to
     every row at once; returns the ``m`` per-row results.
+
+    The input is never copied.  The first level adds each row's two
+    halves straight from ``rows`` into a lane-major ``(2**(k-1), m)``
+    work array, so ``work[lane, row]`` is that row's ``sdata[lane]``.
+    Every later level is then one in-place add of two contiguous slabs,
+    ``work[:stride] += work[stride:2*stride]``: the same pairs, added in
+    the same order, as the per-row loop.
     """
-    work = np.asarray(rows, dtype=np.float64).copy()
-    stride = work.shape[1] // 2
+    rows = np.asarray(rows, dtype=np.float64)
+    half = rows.shape[1] // 2
+    if half == 0:
+        return rows[:, 0].copy()
+    work = np.add(rows[:, :half].T, rows[:, half : 2 * half].T, order="C")
+    stride = half // 2
     while stride >= 1:
-        work[:, :stride] += work[:, stride : 2 * stride]
+        work[:stride] += work[stride : 2 * stride]
         stride //= 2
-    return work[:, 0].copy()
+    return work[0]
 
 
 def chunk_partials(values: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
-    """Stage 1: per-chunk pairwise-tree sums of a zero-padded vector."""
+    """Stage 1: per-chunk pairwise-tree sums of a zero-padded vector.
+
+    Whole chunks fold through a reshaped view of the input; only a
+    trailing partial chunk is copied into a zero-padded buffer.
+    """
     flat = np.asarray(values, dtype=np.float64).ravel()
-    if flat.size == 0:
-        return np.zeros(0)
-    pad = (-flat.size) % chunk
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad)])
-    return _tree_fold(flat.reshape(-1, chunk))
+    whole = flat.size - flat.size % chunk
+    partials = _tree_fold(flat[:whole].reshape(-1, chunk))
+    if whole == flat.size:
+        return partials
+    tail = np.zeros((1, chunk))
+    tail[0, : flat.size - whole] = flat[whole:]
+    return np.concatenate([partials, _tree_fold(tail)])
 
 
 def combine_partials(partials: np.ndarray) -> float:

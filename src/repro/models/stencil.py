@@ -15,6 +15,9 @@ Bitwise contract: callers pass their own neighbour offsets / slices, and
 each helper keeps exactly one association order, so all ports produce
 bit-for-bit identical values regardless of how they index (the PR 3
 equivalence gate depends on this).
+
+The ``*_into`` forms used by the compiled hot path evaluate the same
+order through ``out=`` into caller-owned arrays.
 """
 
 from __future__ import annotations
@@ -71,6 +74,40 @@ def row_matvec(v, kx, ky, I, Im, Ip, J, Jm, Jp) -> np.ndarray:
 def row_diag(kx, ky, I, Ip, J, Jp) -> np.ndarray:
     """diag(A) over a 2-D row slab."""
     return 1.0 + kx[I, Jp] + kx[I, J] + ky[Ip, J] + ky[I, J]
+
+
+def diag_into(kx, ky, I, Ip, J, Jp, out) -> np.ndarray:
+    """:func:`row_diag` written through ``out=``: same sums, same order.
+
+    ``out`` is a ``(len(I), len(J))`` array that shares no memory with
+    ``kx``/``ky``; nothing else is allocated.
+    """
+    np.add(1.0, kx[I, Jp], out=out)
+    np.add(out, kx[I, J], out=out)
+    np.add(out, ky[Ip, J], out=out)
+    np.add(out, ky[I, J], out=out)
+    return out
+
+
+def matvec_into(v, kx, ky, I, Im, Ip, J, Jm, Jp, out, t0, t1) -> np.ndarray:
+    """:func:`row_matvec` written through ``out=`` with two scratch arrays.
+
+    Evaluates the identical association order — the diagonal term, then
+    minus the x pair, then minus the y pair — so every cell's bits match
+    :func:`row_matvec`.  ``out``, ``t0`` and ``t1`` are distinct
+    ``(len(I), len(J))`` arrays sharing no memory with ``v``/``kx``/``ky``.
+    """
+    diag_into(kx, ky, I, Ip, J, Jp, out)
+    np.multiply(out, v[I, J], out=out)
+    np.multiply(kx[I, Jp], v[I, Jp], out=t0)
+    np.multiply(kx[I, J], v[I, Jm], out=t1)
+    np.add(t0, t1, out=t0)
+    np.subtract(out, t0, out=out)
+    np.multiply(ky[Ip, J], v[Ip, J], out=t0)
+    np.multiply(ky[I, J], v[Im, J], out=t1)
+    np.add(t0, t1, out=t0)
+    np.subtract(out, t0, out=out)
+    return out
 
 
 def face_coefficient(wa, wb, scale):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
+from repro.core.grid import Grid2D
 from repro.models import codegen
 from repro.models.base import make_port
 from repro.models.overlap import (
@@ -85,10 +86,11 @@ class TestInteriorPartition:
         )
 
         split = np.zeros_like(a)
+        ctx = codegen.CodegenContext(lambda name: a, Grid2D(nx, ny, halo=h))
         core, strips = interior_partition(ny, nx, 1)
         regions = list(strips) + ([core] if core is not None else [])
         for r in regions:
-            S = RegionSlices(h, r)
+            S = RegionSlices(ctx, r)
             split[S.I, S.J] = (
                 a[S.Im, S.J] + a[S.Ip, S.J] + a[S.I, S.Jm] + a[S.I, S.Jp]
             )

@@ -2,8 +2,9 @@
 
 Every port finalises its reduction partials through this one pairwise
 tree, so these properties — padding transparency, chunk/combine
-consistency, accuracy against fsum — are what make cross-port bitwise
-equality possible at all.
+consistency, accuracy against fsum, and bit-for-bit agreement with the
+row-wise stride-halving loop the tree was first written as — are what
+make cross-port bitwise equality possible at all.
 """
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.models.reduction import (
     CHUNK,
+    _tree_fold,
     chunk_partials,
     combine_partials,
     deterministic_dot,
@@ -70,6 +72,110 @@ class TestDeterministicSum:
         """
         values = random_values(300, seed=3)
         assert deterministic_sum(values) == deterministic_sum(values.copy())
+
+
+# --------------------------------------------------------------------- #
+# reference: the row-wise stride-halving loop
+# --------------------------------------------------------------------- #
+def row_loop_fold(rows):
+    """``sdata[tid] += sdata[tid + stride]`` over every row of a copy."""
+    work = np.asarray(rows, dtype=np.float64).copy()
+    stride = work.shape[1] // 2
+    while stride >= 1:
+        work[:, :stride] += work[:, stride : 2 * stride]
+        stride //= 2
+    return work[:, 0].copy()
+
+
+def row_loop_chunk_partials(values, chunk=CHUNK):
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    if flat.size == 0:
+        return np.zeros(0)
+    pad = (-flat.size) % chunk
+    if pad:
+        flat = np.concatenate([flat, np.zeros(pad)])
+    return row_loop_fold(flat.reshape(-1, chunk))
+
+
+def row_loop_sum(values):
+    partials = row_loop_chunk_partials(values)
+    if partials.size == 0:
+        return 0.0
+    width = 1
+    while width < partials.size:
+        width <<= 1
+    padded = np.concatenate([partials, np.zeros(width - partials.size)])
+    return float(row_loop_fold(padded.reshape(1, width))[0])
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def special_values(shape, seed, rate):
+    """Values over forty decades, with a share of ±0, ±inf and NaN."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+    mask = rng.random(shape) < rate
+    values[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return values
+
+
+def bits(values):
+    """uint64 view of ``values`` with every NaN mapped to one pattern.
+
+    When two NaNs meet, which sign survives depends on the operand order
+    of the machine loop NumPy picks (IEEE-754 leaves it open, and the
+    reference loop itself flips it with the array shape), so NaN is
+    compared as NaN and every other value bit for bit.
+    """
+    out = np.array(values, dtype=np.float64, ndmin=1)
+    out[np.isnan(out)] = np.nan
+    return out.view(np.uint64)
+
+
+#: Vector lengths around whole numbers of chunks.
+around_chunks = st.builds(
+    lambda q, d: max(0, q * CHUNK + d), st.integers(0, 6), st.integers(-3, 3)
+)
+rates = st.sampled_from([0.0, 0.05, 0.5, 1.0])
+
+
+class TestTreeMatchesRowLoop:
+    """The copy-free fold adds the same pairs in the same order."""
+
+    @given(
+        m=st.integers(1, 9),
+        k=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+        rate=rates,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tree_fold(self, m, k, seed, rate):
+        rows = special_values((m, 2**k), seed, rate)
+        with np.errstate(all="ignore"):
+            got, want = _tree_fold(rows), row_loop_fold(rows)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @given(n=around_chunks, seed=st.integers(0, 2**32 - 1), rate=rates,
+           strided=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_chunk_partials_and_sum(self, n, seed, rate, strided):
+        values = special_values(2 * n if strided else n, seed, rate)
+        if strided:
+            values = values[::2]
+        with np.errstate(all="ignore"):
+            partials = chunk_partials(values)
+            want_partials = row_loop_chunk_partials(values)
+            total, want_total = deterministic_sum(values), row_loop_sum(values)
+        np.testing.assert_array_equal(bits(partials), bits(want_partials))
+        np.testing.assert_array_equal(bits(total), bits(want_total))
+
+    def test_input_is_not_modified(self):
+        values = special_values(3 * CHUNK + 5, 11, 0.1)
+        before = values.copy()
+        with np.errstate(all="ignore"):
+            deterministic_sum(values)
+        np.testing.assert_array_equal(bits(values), bits(before))
 
 
 class TestCombinePartials:
