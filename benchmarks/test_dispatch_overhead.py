@@ -12,7 +12,7 @@ Offload ports additionally measure the residency mirror on repeated
 second probe of a clean field must not pay a device->host copy.
 
 A second sweep measures the compiled hot path (``--codegen``):
-interpreted per-kernel dispatch vs the plan lowered to generated NumPy,
+interpreted per-kernel dispatch vs the plan lowered to composed NumPy,
 recorded to ``BENCH_codegen.json`` with bitwise-identity asserted
 against the golden solution hash.
 
@@ -111,7 +111,7 @@ GOLDEN_U_SHA = "b6dc591ad1a00bda"
 
 @pytest.mark.parametrize("model", available_models())
 def test_codegen_speedup(model, benchmark):
-    """Interpreted dispatch vs the generated-NumPy hot path (--codegen)."""
+    """Interpreted dispatch vs the compiled-NumPy hot path (--codegen)."""
 
     def both():
         interp = measure(model, fuse=False, residency=False, codegen=False)

@@ -627,8 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--codegen", action="store_true",
-        help="run kernel plans as generated NumPy code (tl_codegen); "
-             "bitwise-identical to the interpreted path",
+        help="run kernel plans as composed per-op NumPy functions "
+             "(tl_codegen); bitwise-identical to the interpreted path",
     )
     run.add_argument(
         "--overlap", action="store_true",

@@ -54,7 +54,7 @@ class MultiChunkPort(Port):
     """A rank-per-chunk ensemble presenting the single-port interface."""
 
     #: Fields live per-chunk behind the rank boundary; there is no single
-    #: device array for a generated body to write, so codegen is refused
+    #: device array for a compiled body to write, so codegen is refused
     #: (the executor silently falls back to interpreted dispatch).
     supports_codegen = False
 

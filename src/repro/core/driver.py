@@ -133,9 +133,6 @@ class RunResult:
     #: Deterministic exposed/hidden communication accounting
     #: (``CommStats.as_dict()``; zeros for single-chunk runs).
     comm: dict | None = None
-    #: Codegen function-cache hits/misses scoped to *this* run (the
-    #: module counter is a process-global aggregate).
-    codegen_cache: dict | None = None
 
     @property
     def total_iterations(self) -> int:
@@ -175,7 +172,11 @@ class TeaLeaf:
 
         self.deck = deck
         self.grid = deck.grid()
-        self.trace = trace if trace is not None else Trace()
+        if trace is None:
+            # A passed port already records into its own trace, and the
+            # driver's solve/summary sections must tag those events.
+            trace = port.trace if port is not None else Trace()
+        self.trace = trace
         self.model = model if port is None else port.model_name
         self.port = port if port is not None else make_port(model, self.grid, self.trace)
         self.solver: Solver = make_solver(deck.solver)
@@ -397,7 +398,6 @@ class TeaLeaf:
             resilience=self.resilience.report if self.resilience is not None else None,
             fallbacks=list(self.executor.fallbacks),
             comm=self.executor.comm.as_dict(),
-            codegen_cache=self.executor.codegen_cache_stats(),
         )
 
     # ------------------------------------------------------------------ #

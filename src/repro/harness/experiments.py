@@ -598,14 +598,14 @@ def rank_resilience(quick: bool = True) -> ExperimentResult:
 
 
 # --------------------------------------------------------------------- #
-# Compiled hot path: interpreted dispatch vs generated NumPy (extension)
+# Compiled hot path: interpreted dispatch vs compiled NumPy (extension)
 # --------------------------------------------------------------------- #
 def codegen_speedup(quick: bool = True) -> ExperimentResult:
-    """Interpreted dispatch vs the generated-NumPy hot path (``--codegen``).
+    """Interpreted dispatch vs the compiled-NumPy hot path (``--codegen``).
 
     Runs the benchmark problem twice per port — once through the
     interpreted per-kernel dispatch, once with the plan lowered to
-    generated NumPy — and compares bits and wall time.  Checks are on
+    composed per-op NumPy functions — and compares bits and wall time.  Checks are on
     physics (bitwise-identical field, iteration trajectory and summary)
     and on plan structure (the solver plans really lowered); wall time
     feeds the table but is machine dependent, so speedup is reported,
@@ -689,7 +689,7 @@ def codegen_speedup(quick: bool = True) -> ExperimentResult:
 
     return ExperimentResult(
         experiment_id="codegen_speedup",
-        title="Compiled hot path: generated NumPy vs interpreted dispatch",
+        title="Compiled hot path: compiled NumPy vs interpreted dispatch",
         description=(
             "Wall time and bitwise equivalence of the --codegen lowering "
             "against interpreted per-kernel dispatch on the benchmark "

@@ -86,7 +86,7 @@ class Port(ABC):
 
     #: Whether the executor may run codegen-lowered plans against this
     #: port.  Anything exposing its device storage through
-    #: :meth:`_device_array` qualifies (the generated NumPy bodies write
+    #: :meth:`_device_array` qualifies (the compiled NumPy bodies write
     #: the same arrays the ``_k_*`` primitives do); decomposed ports,
     #: whose fields live per-chunk, opt out.  Poison mode
     #: (``tl_poison_dead_fields``) NaN-fills those same arrays, so it
@@ -274,7 +274,7 @@ class Port(ABC):
     def dispatch_compiled(self, step, argv: tuple[tuple, ...]) -> tuple:
         """Run one codegen-lowered step (see :mod:`repro.models.codegen`).
 
-        The generated function reads and writes the port's device arrays
+        The compiled function reads and writes the port's device arrays
         directly, so trace launches and residency dirtying are replayed
         here from the step's pre-recorded accounting — one launch per
         member call exactly as the interpreted dispatch would emit.

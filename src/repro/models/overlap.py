@@ -10,27 +10,27 @@ need to take it:
   (cells whose stencil never reaches a ghost layer) plus up to four
   **boundary strips** of width :data:`STENCIL_REACH`, covering every
   interior cell exactly once for any mesh size and halo depth.
-* :data:`OVERLAP_TEMPLATES` gives each overlappable operation a
-  region-capable **body** (the elementwise sweep, runnable over the core
-  while the exchange is in flight, then over the strips once the ghosts
-  have landed) and an optional **epilogue** (scalar updates and
-  reductions that need the whole interior, run after the wait).  Bodies
-  reuse the exact shared arithmetic helpers the interpreted ports and
-  the codegen backend use, over sub-slices of the same full-interior
-  expressions, so every cell's bits are identical to the non-overlapped
-  run.
-* :func:`overlap_reason` is the legality pass: it refuses pairs where a
-  body writes an exchanged field (the WAR hazard — a ``depth > 1``
-  exchange packs ``depth`` interior layers, and the core sweep mutates
-  layer ``STENCIL_REACH`` onwards *while the pack is in flight* on any
-  port that does not snapshot eagerly), where no member actually
-  stencil-reads an exchanged field, or where splitting a fused group
-  into a body phase and an epilogue phase would reorder cross-member
-  dataflow.
+* :data:`~repro.models.codegen.OP_DEFS` supplies the arithmetic: each
+  op that splits has a region-capable **sweep** (the stencil part,
+  runnable over the core while the exchange is in flight, then over the
+  strips once the ghosts have landed) and every op a whole-interior
+  **tail** (same-cell updates and reductions, run after the wait).
+  These are the very functions ``--codegen`` composes, evaluated over
+  sub-slices of the same full-interior expressions, so every cell's
+  bits are identical to the non-overlapped run.
+* :func:`overlap_reason` is the legality pass, over read/write sets
+  derived from the :data:`~repro.models.plan.OPS` dataflow table: it
+  refuses pairs where a sweep writes an exchanged field (the WAR
+  hazard — a ``depth > 1`` exchange packs ``depth`` interior layers,
+  and the core sweep mutates layer ``STENCIL_REACH`` onwards *while the
+  pack is in flight* on any port that does not snapshot eagerly), where
+  no member actually stencil-reads an exchanged field, or where
+  splitting a fused group into a sweep phase and a tail phase would
+  reorder cross-member dataflow.
 * :func:`execute_overlap` runs one :class:`~repro.models.plan.OverlapStep`:
   post the exchange (``port.halo_begin``), sweep every chunk's core,
   complete the exchange (``port.halo_wait``), sweep the strips, then run
-  the epilogues and combine reduction partials deterministically.
+  the tails and combine reduction partials deterministically.
 
 Deterministic simulated-async mode
 ----------------------------------
@@ -48,12 +48,10 @@ all replay identically run over run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
-from repro.core import fields as F
-from repro.models.plan import OPS, FusedGroup, HaloStep, KernelCall
-from repro.models.reduction import deterministic_sum
-from repro.models.stencil import row_matvec
+from repro.models.codegen import OP_DEFS
+from repro.models.plan import FusedGroup, HaloStep, KernelCall
 
 #: Stencil reach of every overlappable operation (the 5-point stencil
 #: reads one neighbour in each direction).  The boundary-strip width is
@@ -132,10 +130,10 @@ class RegionSlices:
 
     Offers the same ``I/Ip/Im/J/Jp/Jm`` attributes a
     :class:`~repro.models.codegen.CodegenContext` supplies for the full
-    interior, shifted to the region, so generated bodies (and the
-    hand-written overlap bodies below) evaluate the identical per-cell
-    expressions over a sub-slab.  ``T0``-``T2`` are region-shaped views
-    of the context's scratch arrays.
+    interior, shifted to the region, so an op's ``sweep`` evaluates the
+    identical per-cell ufuncs over a sub-slab.  ``T0``-``T2`` are
+    region-shaped views of the leading cells of the context's scratch
+    arrays, contiguous like the whole-interior scratch.
     """
 
     __slots__ = ("I", "Ip", "Im", "J", "Jp", "Jm", "T0", "T1", "T2")
@@ -149,237 +147,103 @@ class RegionSlices:
         self.J = slice(h + c0, h + c1)
         self.Jp = slice(h + c0 + 1, h + c1 + 1)
         self.Jm = slice(h + c0 - 1, h + c1 - 1)
-        self.T0 = ctx.T0[r0:r1, c0:c1]
-        self.T1 = ctx.T1[r0:r1, c0:c1]
-        self.T2 = ctx.T2[r0:r1, c0:c1]
-
-    @staticmethod
-    def reduce(values: Any) -> float:  # pragma: no cover - legality bars it
-        """Generated preamble binds ``S.reduce``; a region must never sum.
-
-        A partial-region reduction would not be the canonical
-        deterministic interior sum — the overlap legality pass keeps
-        reductions in whole-interior epilogues, so reaching this is a
-        compiler bug, not a numerics choice.
-        """
-        raise AssertionError("reduction evaluated over a boundary region")
+        shape = (r1 - r0, c1 - c0)
+        cells = shape[0] * shape[1]
+        self.T0 = ctx.T0.ravel()[:cells].reshape(shape)
+        self.T1 = ctx.T1.ravel()[:cells].reshape(shape)
+        self.T2 = ctx.T2.ravel()[:cells].reshape(shape)
 
 
 # --------------------------------------------------------------------- #
-# overlap templates
+# legality pass
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class OverlapTemplate:
-    """Region body + whole-interior epilogue for one operation.
-
-    ``body(ctx, args, S)`` runs the elementwise sweep over the region
-    ``S`` (a :class:`RegionSlices`); ``epilogue(ctx, args)`` runs any
-    same-cell scalar updates and returns the member's reduction partial
-    (or ``None``).  The read/write sets drive the legality pass: body
-    sets describe what happens *while the exchange is in flight*,
-    epilogue sets what happens after the wait.
-    """
-
-    body: Callable[..., None] | None
-    epilogue: Callable[..., Any] | None
-    body_reads: tuple[str, ...] = ()
-    body_writes: tuple[str, ...] = ()
-    epi_reads: tuple[str, ...] = ()
-    epi_writes: tuple[str, ...] = ()
-
-
-def _body_cg_calc_w(ctx: Any, args: tuple, S: RegionSlices) -> None:
-    A = ctx.array
-    A(F.W)[S.I, S.J] = row_matvec(
-        A(F.P), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
-    )
-
-
-def _epi_cg_calc_w(ctx: Any, args: tuple) -> float:
-    A = ctx.array
-    return deterministic_sum(
-        (A(F.P)[ctx.I, ctx.J] * A(F.W)[ctx.I, ctx.J]).ravel()
-    )
-
-
-_RESIDUAL_FN: Callable | None = None
-
-
-def _body_tea_leaf_residual(ctx: Any, args: tuple, S: RegionSlices) -> None:
-    # Routed through the codegen backend's region-capable generated
-    # function (the same cached object ``--codegen`` runs), exercising
-    # the ``R`` parameter for real; the op has no epilogue, so the whole
-    # sweep is region-safe.
-    global _RESIDUAL_FN
-    if _RESIDUAL_FN is None:
-        from repro.models.codegen import _function_for
-
-        _RESIDUAL_FN = _function_for((KernelCall("tea_leaf_residual"),))[0]
-    _RESIDUAL_FN(ctx, (args,), S)
-
-
-def _body_cheby_iterate(ctx: Any, args: tuple, S: RegionSlices) -> None:
-    A = ctx.array
-    A(F.R)[S.I, S.J] -= row_matvec(
-        A(F.SD), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
-    )
-
-
-def _epi_cheby_iterate(ctx: Any, args: tuple) -> None:
-    A = ctx.array
-    r, sd, u = A(F.R), A(F.SD), A(F.U)
-    I, J = ctx.I, ctx.J
-    sd[I, J] = args[0] * sd[I, J] + args[1] * r[I, J]
-    u[I, J] += sd[I, J]
-    return None
-
-
-def _body_ppcg_precon_inner(ctx: Any, args: tuple, S: RegionSlices) -> None:
-    A = ctx.array
-    A(F.W)[S.I, S.J] -= row_matvec(
-        A(F.SD), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp
-    )
-
-
-def _epi_ppcg_precon_inner(ctx: Any, args: tuple) -> None:
-    A = ctx.array
-    w, sd, z = A(F.W), A(F.SD), A(F.Z)
-    I, J = ctx.I, ctx.J
-    sd[I, J] = args[0] * sd[I, J] + args[1] * w[I, J]
-    z[I, J] += sd[I, J]
-    return None
-
-
-def _epi_norm2_field(ctx: Any, args: tuple) -> float:
-    v = ctx.array(args[0])[ctx.I, ctx.J]
-    return deterministic_sum((v * v).ravel())
-
-
-def _epi_dot_fields(ctx: Any, args: tuple) -> float:
-    a = ctx.array(args[0])[ctx.I, ctx.J]
-    b = ctx.array(args[1])[ctx.I, ctx.J]
-    return deterministic_sum((a * b).ravel())
-
-
-#: Operations the overlap pass may split.  The matvec-style sweeps keep
-#: their stencil read in the body and push same-cell recurrences and
-#: reductions into the epilogue; pure reductions are epilogue-only so
-#: they can ride along inside a fused group (``jacobi_residual``'s
-#: ``residual + norm2`` pair) without blocking the split.
-OVERLAP_TEMPLATES: dict[str, OverlapTemplate] = {
-    "cg_calc_w": OverlapTemplate(
-        body=_body_cg_calc_w,
-        epilogue=_epi_cg_calc_w,
-        body_reads=(F.P, F.KX, F.KY),
-        body_writes=(F.W,),
-        epi_reads=(F.P, F.W),
-    ),
-    "tea_leaf_residual": OverlapTemplate(
-        body=_body_tea_leaf_residual,
-        epilogue=None,
-        body_reads=(F.U0, F.U, F.KX, F.KY),
-        body_writes=(F.R,),
-    ),
-    "cheby_iterate": OverlapTemplate(
-        body=_body_cheby_iterate,
-        epilogue=_epi_cheby_iterate,
-        body_reads=(F.R, F.SD, F.KX, F.KY),
-        body_writes=(F.R,),
-        epi_reads=(F.R, F.SD, F.U),
-        epi_writes=(F.SD, F.U),
-    ),
-    "ppcg_precon_inner": OverlapTemplate(
-        body=_body_ppcg_precon_inner,
-        epilogue=_epi_ppcg_precon_inner,
-        body_reads=(F.W, F.SD, F.KX, F.KY),
-        body_writes=(F.W,),
-        epi_reads=(F.W, F.SD, F.Z),
-        epi_writes=(F.SD, F.Z),
-    ),
-    "norm2_field": OverlapTemplate(body=None, epilogue=_epi_norm2_field),
-    "dot_fields": OverlapTemplate(body=None, epilogue=_epi_dot_fields),
-}
-
-
 def _member_calls(body: Any) -> tuple[KernelCall, ...]:
     return body.calls if isinstance(body, FusedGroup) else (body,)
 
 
-def _epi_reads(call: KernelCall, t: OverlapTemplate) -> set[str]:
-    reads = set(t.epi_reads)
-    if call.spec.reads_args:
-        reads.update(a for a in call.args if isinstance(a, str))
-    return reads
+def _phases(call: KernelCall) -> tuple[set[str], set[str], set[str], set[str]]:
+    """(sweep reads, sweep writes, tail reads, tail writes) of one member.
+
+    Derived from the :data:`~repro.models.plan.OPS` dataflow table.  A
+    sweep reads what the op reads plus its stencil neighbourhoods and
+    may write anything the op writes except the fields it stencil-reads,
+    which change only in the tail, after the wait.  The tail may read
+    and write anything the op does.  An op without a sweep (a pure
+    reduction) does all its work in the tail.
+    """
+    spec = call.spec
+    reads = set(spec.read_fields(call.args))
+    writes = set(spec.written(call.args))
+    if OP_DEFS[call.op].sweep is None:
+        return set(), set(), reads, writes
+    stencil = set(spec.stencil_reads)
+    return reads | stencil, writes - stencil, reads, writes
 
 
 def overlap_reason(halo: HaloStep, body: Any) -> str | None:
     """Why ``halo`` may NOT overlap ``body`` — ``None`` when it is legal.
 
-    Legality rules (each refusal returns a human-readable reason):
+    Legality rules (each refusal returns a human-readable reason), over
+    the read/write sets :func:`_phases` derives for each member:
 
-    1. every member must have an :data:`OVERLAP_TEMPLATES` entry;
-    2. **WAR hazard**: no member's *body* may write an exchanged field.
+    1. every member's op must have a region ``sweep`` in
+       :data:`~repro.models.codegen.OP_DEFS` or write nothing (a pure
+       reduction, which runs whole in its tail);
+    2. **WAR hazard**: no member's *sweep* may write an exchanged field.
        The exchange packs ``depth`` interior edge layers when it is
-       posted; a body sweep runs concurrently and mutates everything
+       posted; a core sweep runs concurrently and mutates everything
        from layer :data:`STENCIL_REACH` inward, so for ``depth >
        STENCIL_REACH`` the packed strip would change under an in-flight
-       (or lazily-packing) send.  Epilogue writes are fine — they land
+       (or lazily-packing) send.  Tail writes are fine — they land
        after the wait, exactly where the non-overlapped plan wrote.
     3. at least one member must stencil-read an exchanged field — the
        split otherwise buys nothing;
     4. splitting a fused group must not reorder cross-member dataflow:
-       a later member's body may not read an earlier member's epilogue
-       writes (the epilogue now runs *after* that body), an earlier
-       member's epilogue may not read a later member's body writes, and
-       an earlier member's epilogue may not write what a later member's
-       body writes.
+       a later member's sweep may not read an earlier member's tail
+       writes (the tail now runs *after* that sweep), an earlier
+       member's tail may not read a later member's sweep writes, and
+       an earlier member's tail may not write what a later member's
+       sweep writes.
     """
     if not isinstance(body, (KernelCall, FusedGroup)):
         return f"step {type(body).__name__} has no interior/boundary split"
     calls = _member_calls(body)
     for c in calls:
-        if c.op not in OVERLAP_TEMPLATES:
-            return f"no overlap template for '{c.op}'"
+        d = OP_DEFS.get(c.op)
+        if d is None or (d.sweep is None and c.spec.written(c.args)):
+            return (
+                f"no split template for '{c.op}': only ops with a region "
+                f"sweep or pure reductions split"
+            )
     names = set(halo.names)
-    body_writes: set[str] = set()
-    stencil_hit = False
-    for c in calls:
-        t = OVERLAP_TEMPLATES[c.op]
-        body_writes.update(t.body_writes)
-        if set(c.spec.stencil_reads) & names:
-            stencil_hit = True
-    war = body_writes & names
+    members = [(c, _phases(c)) for c in calls]
+    war = names & set().union(*(phases[1] for _, phases in members))
     if war:
         return (
-            f"WAR hazard: interior body writes {sorted(war)} while their "
+            f"WAR hazard: interior sweep writes {sorted(war)} while their "
             f"depth-{halo.depth} exchange is in flight (the packed edge "
             f"layers would be mutated before the send completes)"
         )
-    if not stencil_hit:
+    if not any(set(c.spec.stencil_reads) & names for c in calls):
         return "no member stencil-reads an exchanged field"
-    for i, ci in enumerate(calls):
-        ti = OVERLAP_TEMPLATES[ci.op]
-        epi_w = set(ti.epi_writes)
-        epi_r = _epi_reads(ci, ti)
-        for cj in calls[i + 1 :]:
-            tj = OVERLAP_TEMPLATES[cj.op]
-            if set(tj.body_reads) & epi_w:
+    for i, (ci, (_, _, tail_r, tail_w)) in enumerate(members):
+        for cj, (sweep_r, sweep_w, _, _) in members[i + 1 :]:
+            if sweep_r & tail_w:
                 return (
-                    f"phase hazard: '{cj.op}' body reads "
-                    f"{sorted(set(tj.body_reads) & epi_w)} written by "
-                    f"'{ci.op}' epilogue, which the split defers"
+                    f"phase hazard: '{cj.op}' sweep reads "
+                    f"{sorted(sweep_r & tail_w)} written by '{ci.op}' "
+                    f"tail, which the split defers"
                 )
-            if epi_r & set(tj.body_writes):
+            if tail_r & sweep_w:
                 return (
-                    f"phase hazard: '{ci.op}' epilogue reads "
-                    f"{sorted(epi_r & set(tj.body_writes))} which "
-                    f"'{cj.op}' body would overwrite first"
+                    f"phase hazard: '{ci.op}' tail reads "
+                    f"{sorted(tail_r & sweep_w)} which '{cj.op}' sweep "
+                    f"would overwrite first"
                 )
-            if epi_w & set(tj.body_writes):
+            if tail_w & sweep_w:
                 return (
-                    f"phase hazard: '{ci.op}' epilogue and '{cj.op}' body "
-                    f"both write {sorted(epi_w & set(tj.body_writes))} "
-                    f"in swapped order"
+                    f"phase hazard: '{ci.op}' tail and '{cj.op}' sweep "
+                    f"both write {sorted(tail_w & sweep_w)} in swapped order"
                 )
     return None
 
@@ -492,14 +356,15 @@ def execute_overlap(
     non-overlapped ``HaloStep`` would send), every chunk's core is swept
     while the messages are in flight, ``halo_wait`` completes delivery,
     the boundary strips are swept against the fresh ghosts, and finally
-    the epilogues run over each chunk's whole interior with reduction
+    the tails run over each chunk's whole interior with reduction
     partials combined through ``port.overlap_reduce`` (the same
-    deterministic allreduce the interpreted dispatch uses).  Returns one
-    result per member call, like ``dispatch_fused``.
+    deterministic allreduce the interpreted dispatch uses).  A member
+    without a sweep is launched once over the whole interior, for its
+    tail.  Returns one result per member call, like ``dispatch_fused``.
     """
     halo = step.halo
     calls = step.calls
-    templates = [OVERLAP_TEMPLATES[c.op] for c in calls]
+    defs = [OP_DEFS[c.op] for c in calls]
     chunks = []
     for cp in port.overlap_chunks():
         ctx = cp._codegen_ctx()
@@ -516,11 +381,11 @@ def execute_overlap(
         if core is None:
             continue
         S = RegionSlices(ctx, core)
-        for call, t, args in zip(calls, templates, argv):
-            if t.body is None:
+        for call, d, args in zip(calls, defs, argv):
+            if d.sweep is None:
                 continue
             spec = cp._launch(call.spec.kernel, cells=core.cells)
-            t.body(ctx, args, S)
+            d.sweep(ctx, S, args)
             interior_bytes += spec.bytes_for(core.cells)
 
     port.halo_wait(token)
@@ -528,24 +393,22 @@ def execute_overlap(
     for cp, ctx, core, strips in chunks:
         for strip in strips:
             S = RegionSlices(ctx, strip)
-            for call, t, args in zip(calls, templates, argv):
-                if t.body is None:
+            for call, d, args in zip(calls, defs, argv):
+                if d.sweep is None:
                     continue
                 cp._launch(call.spec.kernel, cells=strip.cells)
-                t.body(ctx, args, S)
+                d.sweep(ctx, S, args)
 
     results = []
-    for call, t, args in zip(calls, templates, argv):
-        value = None
-        if t.epilogue is not None:
-            partials = []
-            for cp, ctx, core, strips in chunks:
-                if t.body is None:
-                    cp._launch(call.spec.kernel, cells=ctx.nx * ctx.ny)
-                partials.append(t.epilogue(ctx, args))
-            if call.spec.reduction:
-                value = port.overlap_reduce(partials)
-        results.append(value)
+    for call, d, args in zip(calls, defs, argv):
+        partials = []
+        for cp, ctx, core, strips in chunks:
+            if d.sweep is None:
+                cp._launch(call.spec.kernel, cells=ctx.nx * ctx.ny)
+            partials.append(d.tail(ctx, args))
+        results.append(
+            port.overlap_reduce(partials) if call.spec.reduction else None
+        )
         written = call.spec.written(args)
         if written:
             for cp, _ctx, _core, _strips in chunks:

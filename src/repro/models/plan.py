@@ -326,10 +326,10 @@ class OverlapStep:
     the exchange is posted, every chunk's core (cells whose stencil
     cannot reach a ghost layer) is swept while the messages are in
     flight, the wait completes delivery, the boundary strips sweep
-    against the fresh ghosts, and member epilogues/reductions finish
-    over the whole interior.  Results are bitwise-identical to running
-    the halo then the body — only the exposed communication time
-    changes.
+    against the fresh ghosts, and member tails (same-cell updates and
+    reductions) finish over the whole interior.  Results are
+    bitwise-identical to running the halo then the body — only the
+    exposed communication time changes.
     """
 
     halo: HaloStep
@@ -390,10 +390,10 @@ class GuardStep:
 class CompiledKernel:
     """A codegen-lowered :class:`KernelCall` or :class:`FusedGroup`.
 
-    Produced by :mod:`repro.models.codegen`: ``fn`` is one generated (and
-    module-level cached) Python function that runs every member body as
-    vectorised NumPy over the port's device arrays — no per-cell Python
-    frames, no per-slab dispatch.  ``launches`` pre-records the trace
+    Produced by :mod:`repro.models.codegen`: ``fn`` composes the
+    members' NumPy definitions into one function that runs every member
+    body as vectorised NumPy over the port's device arrays — no per-cell
+    Python frames, no per-slab dispatch.  ``launches`` pre-records the trace
     events the interpreted path would have emitted (one launch per member
     call, or the single fused launch), so launch accounting is identical
     either way.  ``argv`` holds the members' static argument tuples;
@@ -405,7 +405,6 @@ class CompiledKernel:
     launches: tuple[tuple[str, KernelSpec | None], ...]
     argv: tuple[tuple[Any, ...], ...]
     has_binds: bool
-    source: str = field(repr=False, default="")
 
 
 Step = Any  # KernelCall | HaloStep | ... | FusedGroup | FaultStep | GuardStep
@@ -662,7 +661,7 @@ class Plan:
         behind them, ``instrument`` weaves resilience fault/guard steps
         around the result (see :func:`_instrument`), and ``codegen``
         finally lowers the remaining plain kernel calls and fused groups
-        to generated NumPy functions (:mod:`repro.models.codegen`),
+        to composed NumPy functions (:mod:`repro.models.codegen`),
         leaving halo/scalar/guard/overlap steps interpreted.
         """
         key = (
@@ -1035,12 +1034,6 @@ class PlanExecutor:
         #: Per-(names, depth) modelled wire cost, so per-step accounting
         #: is a dict lookup instead of a decomposition walk.
         self._halo_costs: dict[tuple, float] = {}
-        # Per-run codegen cache telemetry: snapshot the process-global
-        # counters now so campaign runs and harness experiments report
-        # their *own* hit/miss rates while the global keeps aggregating.
-        from repro.models.codegen import CACHE_STATS
-
-        self._codegen_stats_base = (CACHE_STATS["hits"], CACHE_STATS["misses"])
         #: Debug poison schedule: plan name -> fields NaN-filled when that
         #: plan completes (the liveness pass's
         #: :attr:`FieldLiveness.releases`).  Empty costs one lookup.
@@ -1057,22 +1050,6 @@ class PlanExecutor:
         for name in names:
             self.port._device_array(name).fill(math.nan)
         self.port.invalidate_residency(names)
-
-    def codegen_cache_stats(self) -> dict[str, int]:
-        """Codegen function-cache hits/misses since this executor began.
-
-        The module-level :data:`repro.models.codegen.CACHE_STATS` is a
-        process-global aggregate; it used to leak across campaign runs
-        and harness experiments, so every run after the first reported
-        the previous runs' traffic too.  The per-executor snapshot makes
-        per-run rates accurate without resetting the aggregate.
-        """
-        from repro.models.codegen import CACHE_STATS
-
-        return {
-            "hits": CACHE_STATS["hits"] - self._codegen_stats_base[0],
-            "misses": CACHE_STATS["misses"] - self._codegen_stats_base[1],
-        }
 
     def _halo_cost(self, names: tuple, depth: int) -> float:
         key = (names, depth)

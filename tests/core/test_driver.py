@@ -127,6 +127,19 @@ class TestPortSelection:
         assert app.model == "cuda"
         result = app.run()
         assert result.steps[0].solve.converged
+        # The driver's sections tag the events the port records.
+        assert result.trace is port.trace
+        assert result.trace.kernel_launches("solve") > 0
+
+    def test_explicit_decomposed_port_shares_its_trace(self):
+        from repro.comm.multichunk import MultiChunkPort
+
+        deck = default_deck(n=32, end_step=1)
+        port = MultiChunkPort(deck.grid(), nranks=4)
+        result = TeaLeaf(deck, port=port).run()
+        assert result.trace is port.trace
+        assert result.trace.kernel_launches("solve") > 0
+        assert result.trace.kernel_launches("summary") > 0
 
     def test_unknown_model_raises(self):
         from repro.util.errors import ModelError

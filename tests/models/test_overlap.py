@@ -3,9 +3,8 @@
 Pins the pieces the bitwise equivalence suite builds on: the
 interior/boundary partition covers every cell exactly once, region
 slices reproduce whole-interior sweeps bit for bit, the legality pass
-refuses the WAR and phase hazards (and only those), fallbacks are
-recorded instead of silently dropped, and the codegen cache stats are
-scoped per run.
+refuses the WAR and phase hazards (and only those), and fallbacks are
+recorded instead of silently dropped.
 """
 
 import dataclasses
@@ -189,37 +188,6 @@ class TestFallbackRecording:
         app = TeaLeaf(deck, model="openmp-f90")
         result = app.run()
         assert result.fallbacks == []
-
-
-# --------------------------------------------------------------------- #
-# satellite 2: per-run codegen cache stats
-# --------------------------------------------------------------------- #
-class TestPerRunCacheStats:
-    def test_second_run_is_all_hits(self):
-        codegen.clear_cache()
-        deck = dataclasses.replace(default_deck(n=16, end_step=1), tl_codegen=True)
-
-        app1 = TeaLeaf(deck, model="openmp-f90")
-        r1 = app1.run()
-        assert r1.codegen_cache["misses"] > 0
-
-        app2 = TeaLeaf(deck, model="openmp-f90")
-        r2 = app2.run()
-        # The warm second run compiles nothing new, and its per-run view
-        # does not inherit the first run's misses.
-        assert r2.codegen_cache["misses"] == 0
-        assert r2.codegen_cache["hits"] > 0
-        # The process-global counter keeps aggregating across runs.
-        assert codegen.CACHE_STATS["misses"] == r1.codegen_cache["misses"]
-        assert codegen.CACHE_STATS["hits"] >= (
-            r1.codegen_cache["hits"] + r2.codegen_cache["hits"]
-        )
-
-    def test_interpreted_run_reports_zero(self):
-        deck = default_deck(n=16, end_step=1)
-        app = TeaLeaf(deck, model="openmp-f90")
-        result = app.run()
-        assert result.codegen_cache == {"hits": 0, "misses": 0}
 
 
 # --------------------------------------------------------------------- #
