@@ -182,7 +182,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         return 2
     port = make_port(args.model, deck.grid(), Trace())
     fuse = args.fuse and port.supports_fusion
-    transparent = not port.has_data_region
     if args.fuse and not fuse:
         print(f"# model {args.model} does not support fusion; showing unfused")
     instrument = bool(getattr(args, "resilient", False))
@@ -206,7 +205,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(
             p.describe(
                 fuse=fuse,
-                transparent_barriers=transparent,
                 instrument=instrument,
                 codegen=codegen,
                 overlap=overlap,

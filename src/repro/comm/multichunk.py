@@ -35,6 +35,7 @@ from repro.core import fields as F
 from repro.core.chunk import Chunk
 from repro.core.grid import Grid2D
 from repro.models.base import Port, make_port
+from repro.models.plan import KernelCall
 from repro.models.tracing import Trace
 from repro.util.errors import CommTimeoutError, ModelError, RankFailureError
 from repro.util.retry import RetryPolicy, call_with_retries
@@ -449,26 +450,34 @@ class MultiChunkPort(Port):
                     port._launch("halo_unpack", cells=buffer.size)
 
     # ------------------------------------------------------------------ #
-    # kernels: delegate, allreduce the reductions
+    # kernels: run on every chunk, allreduce the reductions
     # ------------------------------------------------------------------ #
-    def _all(self, method: str, *args) -> None:
-        for port in self.ports:
-            getattr(port, method)(*args)
+    def dispatch(self, call: KernelCall):
+        """Run one operation on every chunk; allreduce its partials.
 
-    def _allreduce(self, method: str, *args) -> float:
+        A field summary's four components are reduced one by one.
+        """
+        if not call.spec.reduction:
+            for port in self.ports:
+                port.dispatch(call)
+            return None
         self._check_ranks()
-        partials = [getattr(port, method)(*args) for port in self.ports]
+        partials = [port.dispatch(call) for port in self.ports]
+        if call.op == "field_summary":
+            return tuple(
+                self.world.allreduce_sum(
+                    [p[component] for p in partials], ranks=self.rank_of_chunk
+                )
+                for component in range(4)
+            )
         return self.world.allreduce_sum(partials, ranks=self.rank_of_chunk)
-
-    def set_field(self) -> None:
-        self._all("set_field")
 
     def tea_leaf_init(self, dt: float, coefficient: str) -> None:
         self._dt = dt
         self._coefficient = coefficient
         # Coefficients at chunk edges need neighbour densities.
         self.update_halo((F.DENSITY, F.ENERGY1), depth=1)
-        self._all("tea_leaf_init", dt, coefficient)
+        self.dispatch(KernelCall("tea_leaf_init", (dt, coefficient)))
         self._fixup_internal_edges()
 
     def _fixup_internal_edges(self) -> None:
@@ -500,63 +509,3 @@ class MultiChunkPort(Port):
                 wl, wc = w[h + sg.ny - 1, cols], w[h + sg.ny, cols]
                 ky[h + sg.ny, cols] = ry * (wl + wc) / (2.0 * wl * wc)
                 port._launch("halo_update", cells=sg.nx)
-
-    def tea_leaf_residual(self) -> None:
-        self._all("tea_leaf_residual")
-
-    def cg_init(self) -> float:
-        return self._allreduce("cg_init")
-
-    def cg_calc_w(self) -> float:
-        return self._allreduce("cg_calc_w")
-
-    def cg_calc_ur(self, alpha: float) -> float:
-        return self._allreduce("cg_calc_ur", alpha)
-
-    def cg_calc_p(self, beta: float) -> None:
-        self._all("cg_calc_p", beta)
-
-    def ppcg_calc_p(self, beta: float) -> None:
-        self._all("ppcg_calc_p", beta)
-
-    def cg_precon_jacobi(self) -> None:
-        self._all("cg_precon_jacobi")
-
-    def cheby_init(self, theta: float) -> None:
-        self._all("cheby_init", theta)
-
-    def cheby_iterate(self, alpha: float, beta: float) -> None:
-        self._all("cheby_iterate", alpha, beta)
-
-    def ppcg_precon_init(self, theta: float) -> None:
-        self._all("ppcg_precon_init", theta)
-
-    def ppcg_precon_inner(self, alpha: float, beta: float) -> None:
-        self._all("ppcg_precon_inner", alpha, beta)
-
-    def jacobi_iterate(self) -> float:
-        return self._allreduce("jacobi_iterate")
-
-    def norm2_field(self, name: str) -> float:
-        return self._allreduce("norm2_field", name)
-
-    def dot_fields(self, a: str, b: str) -> float:
-        return self._allreduce("dot_fields", a, b)
-
-    def copy_field(self, src: str, dst: str) -> None:
-        self._all("copy_field", src, dst)
-
-    def tea_leaf_finalise(self) -> None:
-        self._all("tea_leaf_finalise")
-
-    def field_summary(self) -> tuple[float, float, float, float]:
-        self._check_ranks()
-        partials = [port.field_summary() for port in self.ports]
-        totals = []
-        for component in range(4):
-            totals.append(
-                self.world.allreduce_sum(
-                    [p[component] for p in partials], ranks=self.rank_of_chunk
-                )
-            )
-        return tuple(totals)  # type: ignore[return-value]

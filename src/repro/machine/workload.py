@@ -4,10 +4,13 @@ Running the real numerics at 4096x4096 for thousands of iterations is not
 feasible in Python, but the *event structure* of a solve (which kernels
 launch, how many offload regions open, what transfers occur) depends only
 on the solver's control flow — not on the field values.  This module
-provides :class:`TracingStubPort`: a Port whose kernels only emit trace
-events, and whose reduction returns follow a prescribed convergence
-schedule so that the *unmodified* solver and driver code executes exactly
-the control flow of a run with the given per-step iteration counts.
+provides :class:`TracingStubPort`: a Port with no field data that keeps
+the shared dispatch core, so every launch and its kernel name come from
+:data:`repro.models.plan.OPS` exactly as for a real port.  Its only
+``_k_*`` primitives script the reduction returns, which follow a
+prescribed convergence schedule so that the *unmodified* solver and
+driver code executes exactly the control flow of a run with the given
+per-step iteration counts; every other op runs an empty body.
 
 The synthesised traces are validated against real-numerics traces in the
 test-suite: for a mesh the numerics can run, the stub trace driven by the
@@ -196,7 +199,8 @@ class TracingStubPort(Port):
 
     Field arrays are never allocated; geometry is used purely for byte
     accounting.  Reductions follow the :class:`_Schedule` for the current
-    step, so the real solver code runs its exact control flow.
+    step, so the real solver code runs its exact control flow.  A rename
+    in ``OPS`` renames the stub's launches with every real port's.
     """
 
     def __init__(
@@ -220,8 +224,8 @@ class TracingStubPort(Port):
         )
 
     # ------------------------------------------------------------------ #
-    def _launch(self, kernel_name: str, cells: int | None = None):
-        spec = super()._launch(kernel_name, cells)
+    def _launch(self, kernel_name: str, cells: int | None = None, spec=None):
+        spec = super()._launch(kernel_name, cells, spec)
         if self.behavior.offload_regions and self._in_solve:
             self.trace.region(f"{self.behavior.region_label}:{kernel_name}")
         if spec.has_reduction and self.behavior.reduction_partials:
@@ -274,9 +278,12 @@ class TracingStubPort(Port):
         self._in_solve = False
 
     # ------------------------------------------------------------------ #
-    # kernels
+    # kernels: scripted returns only; the shared dispatch traces launches
     # ------------------------------------------------------------------ #
-    def set_field(self) -> None:
+    def _primitive(self, op: str):
+        return getattr(self, "_k_" + op, _no_body)
+
+    def _k_set_field(self) -> None:
         # set_field is the first kernel of every step: advance the schedule.
         self._step += 1
         if self._step >= len(self.workload.steps):
@@ -284,83 +291,42 @@ class TracingStubPort(Port):
         self._schedule = _Schedule(
             self.deck, self.workload.steps[self._step], self.workload.solver
         )
-        self._launch("set_field")
 
     def _sched(self) -> _Schedule:
         if self._schedule is None:
             raise MachineError("solve kernels called before set_field")
         return self._schedule
 
-    def tea_leaf_init(self, dt: float, coefficient: str) -> None:
-        self._launch("tea_leaf_init")
-
-    def tea_leaf_residual(self) -> None:
-        self._launch("tea_leaf_residual")
-
-    def cg_init(self) -> float:
-        self._launch("cg_init")
+    def _k_cg_init(self) -> float:
         return self._sched().rr0
 
-    def cg_calc_w(self) -> float:
-        self._launch("cg_calc_w")
+    def _k_cg_calc_w(self) -> float:
         # pw = 2 * rro so that alpha = rro/pw = 0.5 exactly, keeping the
         # recorded Lanczos scalars well-posed for the eigenvalue estimate.
         return 2.0 * self._sched().current_rr()
 
-    def cg_calc_ur(self, alpha: float) -> float:
-        self._launch("cg_calc_ur")
+    def _k_cg_calc_ur(self, alpha: float) -> float:
         return self._sched().cg_rrn()
 
-    def cg_calc_p(self, beta: float) -> None:
-        self._launch("cg_calc_p")
-
-    def ppcg_calc_p(self, beta: float) -> None:
-        self._launch("cg_calc_p")
-
-    def cheby_init(self, theta: float) -> None:
-        self._launch("cheby_init")
-
-    def cheby_iterate(self, alpha: float, beta: float) -> None:
-        self._launch("cheby_iterate")
+    def _k_cheby_iterate(self, alpha: float, beta: float) -> None:
         self._sched().mark_cheby_iterate()
 
-    def cg_precon_jacobi(self) -> None:
-        self._launch("cg_precon")
-
-    def ppcg_precon_init(self, theta: float) -> None:
-        self._launch("ppcg_precon_init")
-
-    def ppcg_precon_inner(self, alpha: float, beta: float) -> None:
-        self._launch("ppcg_inner")
-
-    def jacobi_iterate(self) -> float:
-        # Real ports copy u into the previous-iterate field first.
-        self._launch("copy_field")
-        self._launch("jacobi_iterate")
+    def _k_jacobi_iterate(self) -> float:
         sched = self._sched()
         sched.cg_calls += 1
         if sched.cg_calls >= sched.plan.outer:
             return 0.0
         return 1.0
 
-    def norm2_field(self, name: str) -> float:
-        self._launch("norm2")
+    def _k_norm2_field(self, name: str) -> float:
         return self._sched().cheby_norm()
 
-    def dot_fields(self, a: str, b: str) -> float:
-        self._launch("dot_product")
+    def _k_dot_fields(self, a: str, b: str) -> float:
         sched = self._sched()
         # rrz for PPCG's beta: any positive value keeps the flow identical.
         return max(sched.rr0 * 1e-6, 1e-300)
 
-    def copy_field(self, src: str, dst: str) -> None:
-        self._launch("copy_field")
-
-    def tea_leaf_finalise(self) -> None:
-        self._launch("tea_leaf_finalise")
-
-    def field_summary(self) -> tuple[float, float, float, float]:
-        self._launch("field_summary")
+    def _k_field_summary(self) -> tuple[float, float, float, float]:
         if self.behavior.reduction_partials:
             # CUDA/OpenCL run the summary as four reduction launches, so
             # three additional partials read-backs beyond _launch's one.
@@ -370,6 +336,10 @@ class TracingStubPort(Port):
                     "read_partials", groups * DOUBLE, TransferDirection.D2H
                 )
         return (1.0, 1.0, 1.0, 1.0)
+
+
+def _no_body(*args) -> None:
+    """The body of every op without a scripted return: nothing to run."""
 
 
 def synthesize_solve_trace(

@@ -100,10 +100,6 @@ class Port(ABC):
     #: numerics harness) opt out, and the executor records the fallback.
     supports_overlap: bool = True
 
-    #: True for offload models whose begin/end_solve opens a real data
-    #: region; gates barrier hoisting in the plan compiler.
-    has_data_region: bool = False
-
     #: Executor the driver attaches for plan replay; solvers fall back to
     #: an unfused :class:`~repro.models.plan.PlanExecutor` when absent.
     plan_executor = None

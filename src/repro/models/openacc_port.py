@@ -33,10 +33,9 @@ from repro.util.errors import ModelError
 class OpenACCPort(OpenMP3Port):
     """OpenMP C loop bodies under OpenACC data/kernels directives."""
 
-    #: Every kernel is its own acc kernels region (a sync fence); the data
-    #: region is real, so no fusion and no barrier hoisting.
+    #: Every kernel is its own acc kernels region (a sync fence), so no
+    #: fusion.
     supports_fusion = False
-    has_data_region = True
 
     def __init__(self, grid: Grid2D, trace: Trace | None = None) -> None:
         super().__init__(grid, trace, dialect="f90")

@@ -61,7 +61,6 @@ class OpenMP4Port(OpenMP3Port):
     #: Each launch is a synchronous target region — a hard fence the plan
     #: compiler must respect, so no fusion across this port.
     supports_fusion = False
-    has_data_region = True
 
     def __init__(self, grid: Grid2D, trace: Trace | None = None) -> None:
         super().__init__(grid, trace, dialect="f90")

@@ -278,9 +278,8 @@ class ScalarStep:
 class BarrierStep:
     """A port lifecycle call (``begin_solve``/``end_solve``).
 
-    For host ports the data region is a no-op, so the compiler may hoist
-    the barrier across a fusion group (``transparent_barriers``); offload
-    ports keep it as a hard fence.
+    The compiler hoists it across a fusion group: only ports without a
+    data region fuse, and their begin/end_solve are no-ops.
     """
 
     method: str
@@ -639,22 +638,21 @@ class Plan:
 
     name: str
     steps: tuple[Step, ...]
-    _compiled: dict[tuple[bool, bool, bool, bool, bool], list[Step]] = field(
+    _compiled: dict[tuple[bool, bool, bool, bool], list[Step]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def compiled(
         self,
         fuse: bool,
-        transparent_barriers: bool = False,
         instrument: bool = False,
         codegen: bool = False,
         overlap: bool = False,
     ) -> list[Step]:
         """The executable step list, fused when ``fuse`` is set.
 
-        Compilation happens once per (fuse, transparency, instrument,
-        codegen, overlap) tuple and is cached — CG/Chebyshev/PPCG inner
+        Compilation happens once per (fuse, instrument, codegen,
+        overlap) tuple and is cached — CG/Chebyshev/PPCG inner
         loops replay the same compiled list every iteration instead of
         rebuilding their call sequence.  Pass order: ``fuse`` first,
         then ``overlap`` pairs exchanges with the (possibly fused) sweep
@@ -664,21 +662,15 @@ class Plan:
         to composed NumPy functions (:mod:`repro.models.codegen`),
         leaving halo/scalar/guard/overlap steps interpreted.
         """
-        key = (
-            bool(fuse),
-            bool(transparent_barriers),
-            bool(instrument),
-            bool(codegen),
-            bool(overlap),
-        )
+        key = (bool(fuse), bool(instrument), bool(codegen), bool(overlap))
         cached = self._compiled.get(key)
         if cached is None:
-            cached = self._compile(key[0], key[1]) if fuse else list(self.steps)
-            if key[4]:
-                cached = _overlap_steps(cached)
-            if key[2]:
-                cached = _instrument(cached)
+            cached = self._compile() if fuse else list(self.steps)
             if key[3]:
+                cached = _overlap_steps(cached)
+            if key[1]:
+                cached = _instrument(cached)
+            if key[2]:
                 # Imported lazily: codegen builds on the IR in this module.
                 from repro.models.codegen import lower_steps
 
@@ -686,7 +678,7 @@ class Plan:
             self._compiled[key] = cached
         return cached
 
-    def _compile(self, fuse: bool, transparent: bool) -> list[Step]:
+    def _compile(self) -> list[Step]:
         out: list[Step] = []
         group: list[KernelCall] = []
         #: Every field the open group reads (incl. stencil) or writes.
@@ -712,9 +704,10 @@ class Plan:
                 group_fields.update(spec.read_fields(step.args))
                 group_fields.update(spec.stencil_reads)
                 group_fields.update(spec.written(step.args))
-            elif isinstance(step, BarrierStep) and transparent and group:
-                # Host ports: the data region is a no-op, so the barrier
-                # may cross the group without changing observable order.
+            elif isinstance(step, BarrierStep) and group:
+                # Fusing ports have no data region, so the barrier is a
+                # no-op and may cross the group without changing
+                # observable order.
                 hoisted.append(step)
             elif (
                 isinstance(step, HaloStep)
@@ -736,7 +729,6 @@ class Plan:
     def describe(
         self,
         fuse: bool = False,
-        transparent_barriers: bool = False,
         instrument: bool = False,
         codegen: bool = False,
         overlap: bool = False,
@@ -750,9 +742,7 @@ class Plan:
         if overlap:
             header += ", overlap"
         lines = [header + "):"]
-        for step in self.compiled(
-            fuse, transparent_barriers, instrument, codegen, overlap
-        ):
+        for step in self.compiled(fuse, instrument, codegen, overlap):
             lines.append(f"  {render_step(step)}")
         return "\n".join(lines)
 
@@ -1068,9 +1058,8 @@ class PlanExecutor:
         port = self.port
         m = self.resilience
         env = {} if env is None else env
-        transparent = not getattr(port, "has_data_region", False)
         for step in plan.compiled(
-            self.fuse, transparent, m is not None, self.codegen, self.overlap
+            self.fuse, m is not None, self.codegen, self.overlap
         ):
             if isinstance(step, CompiledKernel):
                 # Late-bound scalars are the only per-execution variation;

@@ -5,17 +5,22 @@ report, and a single one-ULP perturbation injected into one kernel call
 must be localised to exactly that (iteration, kernel, field).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import fields as F
 from repro.core.deck import default_deck
+from repro.core.driver import TeaLeaf
 from repro.harness.numdiff import (
+    LockstepPort,
     Perturbation,
     run_numdiff,
     scalar_ulp,
     ulp_distance,
 )
+from repro.models.base import make_port
 
 
 class TestUlpDistance:
@@ -137,3 +142,63 @@ class TestNumdiffCli:
 
         assert main(["numdiff", "--models", "kokkos", "--mesh", "8"]) == 2
         assert main(["numdiff", "--models", "kokkos,nope", "--mesh", "8"]) == 2
+
+
+class TestLockstepUnderDeviceArrayFlags:
+    """Compiled kernels and dead-field poison write through
+    ``_device_array``, which reaches only the reference port.  The
+    lockstep facade refuses both, so the candidate runs every call too
+    and agreeing ports are not reported as diverging."""
+
+    DECK = default_deck(n=16, solver="cg", end_step=1, eps=1e-9)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"tl_codegen": True},
+            {
+                "tl_codegen": True,
+                "tl_fuse_kernels": True,
+                "tl_residency_tracking": True,
+            },
+            {"tl_poison_dead_fields": True},
+        ],
+        ids=["codegen", "codegen-fuse-residency", "poison"],
+    )
+    def test_agreeing_ports_agree(self, flags):
+        deck = dataclasses.replace(self.DECK, **flags)
+        report = run_numdiff("openmp-f90", "kokkos", deck)
+        assert report.agreed, report.describe()
+        assert report.iterations > 0
+
+    def test_perturbation_localised_under_codegen(self):
+        deck = dataclasses.replace(self.DECK, tl_codegen=True)
+        report = run_numdiff(
+            "openmp-f90",
+            "kokkos",
+            deck,
+            perturbation=Perturbation(kernel="cg_calc_ur", call_index=3, field=F.R),
+        )
+        d = report.divergence
+        assert d is not None
+        assert (d.iteration, d.kernel, d.call_index, d.field, d.max_ulp) == (
+            3,
+            "cg_calc_ur",
+            3,
+            F.R,
+            1,
+        )
+
+    def test_refusals_are_recorded_as_fallbacks(self):
+        deck = dataclasses.replace(
+            self.DECK, tl_codegen=True, tl_poison_dead_fields=True
+        )
+        grid = deck.grid()
+        lock = LockstepPort(
+            grid,
+            reference=make_port("openmp-f90", grid),
+            candidate=make_port("kokkos", grid),
+        )
+        fallbacks = TeaLeaf(deck, port=lock).run().fallbacks
+        assert any(f.startswith("codegen requested") for f in fallbacks)
+        assert any(f.startswith("tl_poison_dead_fields") for f in fallbacks)

@@ -2,14 +2,21 @@
 
 import pytest
 
+from repro.comm.multichunk import MultiChunkPort
+from repro.core.grid import Grid2D
+from repro.harness.numdiff import LockstepPort
+from repro.machine.workload import TracingStubPort
 from repro.models.base import (
     Capabilities,
     DeviceKind,
+    Port,
     Support,
     available_models,
     get_model,
+    make_port,
     register_model,
 )
+from repro.models.plan import OPS
 from repro.util.errors import ModelError
 
 EXPECTED_MODELS = {
@@ -88,3 +95,39 @@ class TestCapabilities:
     def test_display_names_distinct(self):
         names = [get_model(m).capabilities.display_name for m in available_models()]
         assert len(names) == len(set(names))
+
+
+class TestPortContract:
+    """Every port enters kernels through the shared dispatch core."""
+
+    @staticmethod
+    def registered_ports():
+        grid = Grid2D(nx=8, ny=8)
+        return {name: make_port(name, grid) for name in available_models()}
+
+    def test_no_port_overrides_a_public_kernel_method(self):
+        # Wrapping and stub ports hook dispatch (or _primitive); only the
+        # decomposed tea_leaf_init, which exchanges densities before its
+        # dispatch and fixes up chunk edges after it, stays public.
+        classes = {type(p) for p in self.registered_ports().values()}
+        classes |= {MultiChunkPort, LockstepPort, TracingStubPort}
+        overrides = set()
+        for cls in classes:
+            for klass in cls.__mro__[: cls.__mro__.index(Port)]:
+                overrides |= {
+                    f"{klass.__name__}.{op}" for op in OPS if op in vars(klass)
+                }
+        assert overrides == {"MultiChunkPort.tea_leaf_init"}
+
+    def test_fusing_ports_have_no_data_region(self):
+        # The plan compiler hoists begin/end_solve across fused groups,
+        # which is only sound while both are no-ops on every fusing port.
+        fusing = {
+            name: type(port)
+            for name, port in self.registered_ports().items()
+            if port.supports_fusion
+        }
+        assert fusing
+        for name, cls in fusing.items():
+            assert cls.begin_solve is Port.begin_solve, name
+            assert cls.end_solve is Port.end_solve, name

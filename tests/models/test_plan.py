@@ -26,8 +26,8 @@ from repro.models.plan import (
 from repro.util.errors import CorruptionError
 
 
-def compiled_kinds(plan, fuse=True, transparent=False):
-    return [type(s).__name__ for s in plan.compiled(fuse, transparent)]
+def compiled_kinds(plan, fuse=True):
+    return [type(s).__name__ for s in plan.compiled(fuse)]
 
 
 class TestFusionLegality:
@@ -129,19 +129,10 @@ class TestBarrierHoisting:
 
     def test_transparent_barrier_hoists_around_group(self):
         plan = Plan("t", self.PLAN)
-        steps = plan.compiled(fuse=True, transparent_barriers=True)
+        steps = plan.compiled(fuse=True)
         # One fused traversal; the no-op barrier lands before it.
         assert [type(s).__name__ for s in steps] == ["BarrierStep", "FusedGroup"]
         assert len(steps[1].calls) == 2
-
-    def test_opaque_barrier_splits_group(self):
-        plan = Plan("t", self.PLAN)
-        steps = plan.compiled(fuse=True, transparent_barriers=False)
-        assert [type(s).__name__ for s in steps] == [
-            "KernelCall",
-            "BarrierStep",
-            "KernelCall",
-        ]
 
 
 class TestCompileCaching:
@@ -188,7 +179,6 @@ class _RecordingPort:
     """Minimal duck-typed port: records public kernel calls."""
 
     supports_fusion = False
-    has_data_region = False
     plan_executor = None
 
     def __init__(self):
@@ -409,11 +399,10 @@ class TestFusionAudit:
                 d = dataclasses.replace(deck, tl_preconditioner_type=precon)
                 prologue, epilogue = solve_step_plans(d.grid().halo)
                 for plan in (prologue, *solver_plan_fragments(d), epilogue):
-                    for transparent in (False, True):
-                        for step in plan.compiled(True, transparent):
-                            if isinstance(step, FusedGroup):
-                                audit_fusion(step.calls)  # re-check explicitly
-                                groups += 1
+                    for step in plan.compiled(True):
+                        if isinstance(step, FusedGroup):
+                            audit_fusion(step.calls)  # re-check explicitly
+                            groups += 1
         assert groups > 0
 
 
