@@ -55,8 +55,9 @@ class MultiChunkPort(Port):
     """A rank-per-chunk ensemble presenting the single-port interface."""
 
     #: Fields live per-chunk behind the rank boundary; there is no single
-    #: device array for a compiled body to write, so codegen is refused
-    #: (the executor silently falls back to interpreted dispatch).
+    #: device array for a compiled body to write, so codegen is refused.
+    #: The executor falls back to interpreted dispatch, records the
+    #: fallback in ``RunResult.fallbacks`` and warns on stderr.
     supports_codegen = False
 
     def __init__(

@@ -13,10 +13,12 @@ frames, no per-slab dispatch, no per-call method lookups.
 Bitwise contract
 ----------------
 The definitions evaluate the same ufuncs, in the same association
-orders, over the same full-interior slices as the interpreted ports:
+orders, on the same operands of every interior cell as the interpreted
+ports:
 the stencil goes through :func:`~repro.models.stencil.matvec_into` /
 :func:`~repro.models.stencil.diag_into` (the ``out=`` forms of
-``row_matvec``/``row_diag``), the per-timestep set-up through the shared
+``row_matvec``/``row_diag``, whichever way the operands are indexed),
+the per-timestep set-up through the shared
 :func:`~repro.models.stencil.face_coefficient` and
 :func:`~repro.models.loopbodies.zero_boundary_coefficients`, and every
 reduction feeds its row-major contribution vector through
@@ -28,14 +30,22 @@ Scratch rule
 ------------
 The per-iteration definitions allocate nothing the size of the mesh.
 Each ufunc writes through ``out=``: a result lands straight in its
-destination field's interior view, and an intermediate in one of the
-context's three interior-shaped scratch arrays ``T0``-``T2``.  A sweep
-builds its stencil product in scratch and writes each field once:
-NumPy runs a ufunc about 1.4x slower into a strided view of a padded
-field than into a contiguous array, and the stencil is ten ufuncs.
-Every definition writes a scratch array before it reads it, so nothing
-is carried in scratch between calls, and checkpoints, poison and
-residency, which see only fields, never see it.
+destination field's interior view, and an intermediate in the context's
+scratch, one block of three rows of ``ny * P`` floats (``P = nx + 2h``,
+the row pitch).  ``A v``, ``beta p + src`` and ``cg_calc_ur`` run over
+the interior's span (:func:`~repro.models.stencil.row_span`): every
+operand is a 1-D slice of a flattened field, so each ufunc streams
+contiguous memory (at 256², one ufunc costs about 90 µs through strided
+views of the padded fields and 53 µs over the same cells as one run).
+Results fill spans of scratch, and their pitched ``(ny, nx)`` views
+feed the one write of each field through the field's interior view.
+Other tails and the reduction contributions use ``T0``-``T2``,
+contiguous ``(ny, nx)`` views at the row heads.  ``T0`` and the first
+span share memory, so no ufunc may write one while it reads the other:
+NumPy would copy the input into a hidden temporary.  Every definition
+writes a scratch array before it reads it, so nothing is carried in
+scratch between calls, and checkpoints, poison and residency, which see
+only fields, never see it.
 
 Sweep and tail
 --------------
@@ -45,16 +55,18 @@ executor (:mod:`repro.models.overlap`) splits around a halo exchange
 also have a region-capable ``sweep(ctx, S, args)``: the stencil part,
 evaluated over the slices and scratch views of ``S`` — the context
 itself, or a :class:`~repro.models.overlap.RegionSlices` for one
-interior core or boundary strip.  The compiled path runs the sweep over
-the whole interior and then the tail, which is the op's ufunc sequence
-in order, so ``--codegen`` and ``--overlap`` share one definition.
+interior core or boundary strip.  Both offer ``S.matvec(v)``, so a
+sweep does not ask which one it was given.  The compiled path runs the
+sweep over the whole interior and then the tail, which is the op's
+ufunc sequence in order, so ``--codegen`` and ``--overlap`` share one
+definition.
 
 The functions hold no geometry and no scalars: grid facts arrive through
 a per-port :class:`CodegenContext` and scalar arguments through a
 per-execution ``argv`` table, so one lowered step serves every port,
 grid and iteration, and the per-plan ``Plan._compiled`` entry keyed by
-(fuse, transparency, instrument, codegen, overlap) reuses each lowered
-step list wholesale across iterations.
+(fuse, instrument, codegen, overlap) reuses each lowered step list
+wholesale across iterations.
 """
 
 from __future__ import annotations
@@ -71,11 +83,18 @@ from repro.core.operators import RECIP_CONDUCTIVITY
 from repro.models.loopbodies import zero_boundary_coefficients
 from repro.models.plan import OPS, Bind, CompiledKernel, FusedGroup, KernelCall
 from repro.models.reduction import deterministic_sum
-from repro.models.stencil import diag_into, face_coefficient, matvec_into
+from repro.models.stencil import (
+    diag_into,
+    face_coefficient,
+    flat,
+    matvec_into,
+    region_stencil,
+    row_span,
+)
 
 
-#: Scratch blocks by interior shape, shared by every context of that
-#: shape and freed with the last of them.
+#: Scratch blocks by ``(ny, nx, pitch)``, shared by every context of
+#: that geometry and freed with the last of them.
 _SCRATCH: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -89,22 +108,29 @@ class CodegenContext:
     precomputed squares: ports compute ``rx = dt / (dx*dx)``, and the
     compiled code must divide by the identical product to match bits.
 
-    ``T0``-``T2`` are the interior-shaped scratch arrays of the module's
-    scratch rule.  Every context of one interior shape shares them, so
-    the chunks of a decomposed port keep one scratch footprint in cache
-    rather than one each.  That relies on no two ports being driven from
-    two threads at once; nothing in ``src/`` does that.
+    Scratch is one block of three rows of ``ny * pitch`` floats (see the
+    module's scratch rule).  ``T0``-``T2`` are contiguous ``(ny, nx)``
+    views at the row heads; ``spans`` are the rows' first ``length``
+    cells, indexed like the fields' interior run :attr:`span`; and
+    ``pitched`` are ``(ny, nx)`` views of the spans' interior cells, for
+    the write-back.
+    Every context of one geometry shares the block, so the chunks of a
+    decomposed port keep one scratch footprint in cache rather than one
+    each.  That relies on no two ports being driven from two threads at
+    once; nothing in ``src/`` does that.
     """
 
     __slots__ = (
-        "array", "h", "nx", "ny", "dx2", "dy2",
-        "I", "Ip", "Im", "J", "Jp", "Jm", "T0", "T1", "T2",
+        "array", "h", "nx", "ny", "pitch", "dx2", "dy2",
+        "I", "Ip", "Im", "J", "Jp", "Jm", "at", "span", "spans", "pitched",
+        "T0", "T1", "T2",
     )
 
     def __init__(self, array: Callable[[str], np.ndarray], grid: Any) -> None:
         h, nx, ny = grid.halo, grid.nx, grid.ny
+        pitch = nx + 2 * h
         self.array = array
-        self.h, self.nx, self.ny = h, nx, ny
+        self.h, self.nx, self.ny, self.pitch = h, nx, ny, pitch
         self.dx2 = grid.dx * grid.dx
         self.dy2 = grid.dy * grid.dy
         #: Full-interior row/column slices and their stencil shifts —
@@ -115,23 +141,36 @@ class CodegenContext:
         self.J = slice(h, h + nx)
         self.Jp = slice(h + 1, h + nx + 1)
         self.Jm = slice(h - 1, h + nx - 1)
-        block = _SCRATCH.get((ny, nx))
+        self.at = region_stencil(self.I, self.Im, self.Ip, self.J, self.Jm, self.Jp)
+        _, length, self.span = row_span(h, nx, 0, ny)
+        block = _SCRATCH.get((ny, nx, pitch))
         if block is None:
-            block = _SCRATCH[(ny, nx)] = np.empty((3, ny, nx))
-        self.T0, self.T1, self.T2 = block
+            block = _SCRATCH[(ny, nx, pitch)] = np.empty((3, ny * pitch))
+        self.T0, self.T1, self.T2 = (b[: ny * nx].reshape(ny, nx) for b in block)
+        self.spans = tuple(b[:length] for b in block)
+        self.pitched = tuple(b.reshape(ny, pitch)[:, :nx] for b in block)
+
+    def span_of(self, name: str) -> np.ndarray:
+        """Field ``name``'s interior span, as a 1-D view."""
+        return flat(self.array(name), self.pitch)[self.span.c]
+
+    def matvec(self, v: str) -> np.ndarray:
+        """``A v`` over the whole interior, as the view ``pitched[0]``.
+
+        Evaluated over the interior's span; the result occupies the
+        first scratch row, so ``T0`` is not free until it has been read.
+        """
+        A, pitch = self.array, self.pitch
+        matvec_into(
+            flat(A(v), pitch), flat(A(F.KX), pitch), flat(A(F.KY), pitch),
+            self.span, *self.spans,
+        )
+        return self.pitched[0]
 
 
 # --------------------------------------------------------------------- #
 # one NumPy definition per op
 # --------------------------------------------------------------------- #
-def _matvec(ctx: CodegenContext, S: Any, v: str, out, t0, t1) -> None:
-    """``out = A v`` over ``S``'s slices (``t0``/``t1`` are scratch)."""
-    A = ctx.array
-    matvec_into(
-        A(v), A(F.KX), A(F.KY), S.I, S.Im, S.Ip, S.J, S.Jm, S.Jp, out, t0, t1
-    )
-
-
 def _no_tail(ctx: CodegenContext, args: tuple) -> None:
     return None
 
@@ -166,23 +205,22 @@ def _tea_leaf_init(ctx: CodegenContext, args: tuple) -> None:
 
 def _residual_sweep(ctx: CodegenContext, S: Any, args: tuple) -> None:
     A = ctx.array
-    _matvec(ctx, S, F.U, S.T0, S.T1, S.T2)
-    np.subtract(A(F.U0)[S.I, S.J], S.T0, out=A(F.R)[S.I, S.J])
+    np.subtract(A(F.U0)[S.I, S.J], S.matvec(F.U), out=A(F.R)[S.I, S.J])
 
 
 def _cg_init(ctx: CodegenContext, args: tuple) -> float:
     A, I, J, T0 = ctx.array, ctx.I, ctx.J, ctx.T0
-    w, r = A(F.W)[I, J], A(F.R)[I, J]
-    _matvec(ctx, ctx, F.U, w, T0, ctx.T1)
-    np.subtract(A(F.U0)[I, J], w, out=r)
+    r = A(F.R)[I, J]
+    Av = ctx.matvec(F.U)
+    A(F.W)[I, J] = Av
+    np.subtract(A(F.U0)[I, J], Av, out=r)
     A(F.P)[I, J] = r
     np.multiply(r, r, out=T0)
     return deterministic_sum(T0.ravel())
 
 
 def _cg_calc_w_sweep(ctx: CodegenContext, S: Any, args: tuple) -> None:
-    _matvec(ctx, S, F.P, S.T0, S.T1, S.T2)
-    ctx.array(F.W)[S.I, S.J] = S.T0
+    ctx.array(F.W)[S.I, S.J] = S.matvec(F.P)
 
 
 def _cg_calc_w_tail(ctx: CodegenContext, args: tuple) -> float:
@@ -193,12 +231,15 @@ def _cg_calc_w_tail(ctx: CodegenContext, args: tuple) -> float:
 
 def _cg_calc_ur(ctx: CodegenContext, args: tuple) -> float:
     A, I, J, T0 = ctx.array, ctx.I, ctx.J, ctx.T0
-    u, r = A(F.U)[I, J], A(F.R)[I, J]
-    np.multiply(args[0], A(F.P)[I, J], out=T0)
-    np.add(u, T0, out=u)
-    np.multiply(args[0], A(F.W)[I, J], out=T0)
-    np.subtract(r, T0, out=r)
-    np.multiply(r, r, out=T0)
+    (s0, s1, s2), (u, r, rr) = ctx.spans, ctx.pitched
+    np.multiply(args[0], ctx.span_of(F.P), out=s0)
+    np.add(ctx.span_of(F.U), s0, out=s0)
+    A(F.U)[I, J] = u
+    np.multiply(args[0], ctx.span_of(F.W), out=s1)
+    np.subtract(ctx.span_of(F.R), s1, out=s1)
+    A(F.R)[I, J] = r
+    np.multiply(s1, s1, out=s2)
+    T0[...] = rr
     return deterministic_sum(T0.ravel())
 
 
@@ -206,10 +247,10 @@ def _calc_p(src: str) -> Callable[[CodegenContext, tuple], None]:
     """``p = beta p + src``: CG (src = r) and PPCG (src = z)."""
 
     def calc_p(ctx: CodegenContext, args: tuple) -> None:
-        A, I, J = ctx.array, ctx.I, ctx.J
-        p = A(F.P)[I, J]
-        np.multiply(args[0], p, out=p)
-        np.add(A(src)[I, J], p, out=p)
+        out = ctx.spans[0]
+        np.multiply(args[0], ctx.span_of(F.P), out=out)
+        np.add(ctx.span_of(src), out, out=out)
+        ctx.array(F.P)[ctx.I, ctx.J] = ctx.pitched[0]
 
     return calc_p
 
@@ -217,11 +258,10 @@ def _calc_p(src: str) -> Callable[[CodegenContext, tuple], None]:
 def _cheby_init(ctx: CodegenContext, args: tuple) -> None:
     # The interpreted bodies stage A u through the w workspace; w is not
     # in this op's declared write set (every consumer rewrites it first),
-    # so this definition stages it in r, which it overwrites anyway.
+    # so this definition keeps it in scratch.
     A, I, J = ctx.array, ctx.I, ctx.J
     r, sd, u = A(F.R)[I, J], A(F.SD)[I, J], A(F.U)[I, J]
-    _matvec(ctx, ctx, F.U, r, ctx.T0, ctx.T1)
-    np.subtract(A(F.U0)[I, J], r, out=r)
+    np.subtract(A(F.U0)[I, J], ctx.matvec(F.U), out=r)
     np.divide(r, args[0], out=sd)
     np.add(u, sd, out=u)
 
@@ -236,8 +276,7 @@ def _smooth(res: str, acc: str) -> tuple[Callable, Callable]:
 
     def sweep(ctx: CodegenContext, S: Any, args: tuple) -> None:
         r = ctx.array(res)[S.I, S.J]
-        _matvec(ctx, S, F.SD, S.T0, S.T1, S.T2)
-        np.subtract(r, S.T0, out=r)
+        np.subtract(r, S.matvec(F.SD), out=r)
 
     def tail(ctx: CodegenContext, args: tuple) -> None:
         A, I, J, T0 = ctx.array, ctx.I, ctx.J, ctx.T0
@@ -261,7 +300,7 @@ def _ppcg_precon_init(ctx: CodegenContext, args: tuple) -> None:
 def _cg_precon_jacobi(ctx: CodegenContext, args: tuple) -> None:
     A, I, J = ctx.array, ctx.I, ctx.J
     z = A(F.Z)[I, J]
-    diag_into(A(F.KX), A(F.KY), I, ctx.Ip, J, ctx.Jp, z)
+    diag_into(A(F.KX), A(F.KY), ctx.at, z)
     np.divide(A(F.R)[I, J], z, out=z)
 
 
@@ -273,7 +312,7 @@ def _jacobi_iterate(ctx: CodegenContext, args: tuple) -> float:
     I, Ip, Im, J, Jp, Jm = ctx.I, ctx.Ip, ctx.Im, ctx.J, ctx.Jp, ctx.Jm
     u, r, kx, ky = A(F.U), A(F.R), A(F.KX), A(F.KY)
     r[...] = u
-    diag_into(kx, ky, I, Ip, J, Jp, T0)
+    diag_into(kx, ky, ctx.at, T0)
     x = u[I, J]
     np.multiply(kx[I, Jp], r[I, Jp], out=T1)
     np.add(A(F.U0)[I, J], T1, out=x)

@@ -13,17 +13,29 @@ Kokkos, RAJA, OpenCL and CUDA do **not** use these bodies — their ports
 re-express the kernels through their own abstractions, as the paper's did.
 
 All bodies take raw arrays plus the halo depth ``h`` and interior width
-``nx``; none of them reads or writes outside rows ``[h+r0-1, h+r1+1)``,
-which is what makes the static row decomposition race-free.  Update kernels
-that read neighbour values of an array they also write are split into two
-sweeps (matvec sweep, then axpy sweep), mirroring the reference kernels.
+``nx``.  Reach contract: a body reads only rows ``[h+r0-1, h+r1]`` and
+writes only the slab's interior cells (rows ``[h+r0, h+r1)`` by columns
+``[h, h+nx)``), which is what makes the static row decomposition
+race-free.  Within those rows the stencil may read any column:
+:func:`matvec_slab` runs over the slab's span
+(:func:`~repro.models.stencil.row_span`), whose gap cells between rows
+read the halo columns and corners, into scratch of its own, and keeps
+only the interior cells.  Update kernels that read neighbour values of an
+array they also write are split into two sweeps (matvec sweep, then axpy
+sweep), mirroring the reference kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.models.stencil import face_coefficient, row_diag, row_matvec
+from repro.models.stencil import (
+    face_coefficient,
+    flat,
+    matvec_into,
+    row_diag,
+    row_span,
+)
 
 
 def _rows(h: int, r0: int, r1: int, dk: int = 0) -> slice:
@@ -44,14 +56,19 @@ def matvec_slab(
     r0: int,
     r1: int,
 ) -> None:
-    """out[slab] = A v over interior rows [r0, r1)."""
-    I = _rows(h, r0, r1)
-    J = _cols(h, nx)
-    Jp = _cols(h, nx, 1)
-    Jm = _cols(h, nx, -1)
-    Ip = _rows(h, r0, r1, 1)
-    Im = _rows(h, r0, r1, -1)
-    out[I, J] = row_matvec(v, kx, ky, I, Im, Ip, J, Jm, Jp)
+    """out[slab] = A v over interior rows [r0, r1).
+
+    Evaluated over the slab's span into slab-sized scratch allocated per
+    call; ``out`` is written once, through its interior view.
+    """
+    pitch = nx + 2 * h
+    _, length, at = row_span(h, nx, r0, r1)
+    av = np.empty((r1 - r0, pitch))
+    matvec_into(
+        flat(v, pitch), flat(kx, pitch), flat(ky, pitch), at,
+        av.reshape(-1)[:length], np.empty(length), np.empty(length),
+    )
+    out[_rows(h, r0, r1), _cols(h, nx)] = av[:, :nx]
 
 
 def tea_leaf_init_slab(

@@ -50,8 +50,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
+from repro.core import fields as F
 from repro.models.codegen import OP_DEFS
 from repro.models.plan import FusedGroup, HaloStep, KernelCall
+from repro.models.stencil import matvec_into, region_stencil
 
 #: Stencil reach of every overlappable operation (the 5-point stencil
 #: reads one neighbour in each direction).  The boundary-strip width is
@@ -128,30 +132,42 @@ def interior_partition(
 class RegionSlices:
     """Array slices for one region — the region-typed CodegenContext.
 
-    Offers the same ``I/Ip/Im/J/Jp/Jm`` attributes a
-    :class:`~repro.models.codegen.CodegenContext` supplies for the full
-    interior, shifted to the region, so an op's ``sweep`` evaluates the
-    identical per-cell ufuncs over a sub-slab.  ``T0``-``T2`` are
-    region-shaped views of the leading cells of the context's scratch
-    arrays, contiguous like the whole-interior scratch.
+    Offers the same ``I/Ip/Im/J/Jp/Jm`` attributes and :meth:`matvec`
+    entry point a :class:`~repro.models.codegen.CodegenContext` supplies
+    for the full interior, shifted to the region, so an op's ``sweep``
+    evaluates the identical per-cell ufuncs over a sub-slab.  The
+    stencil runs over 2-D slices, not a span: a left or right strip is
+    one column wide, and its span would cost about a row pitch of cells
+    per cell.  ``T0``-``T2`` are region-shaped views of the leading
+    cells of the context's scratch, contiguous like the whole-interior
+    scratch.
     """
 
-    __slots__ = ("I", "Ip", "Im", "J", "Jp", "Jm", "T0", "T1", "T2")
+    __slots__ = ("array", "I", "Ip", "Im", "J", "Jp", "Jm", "at", "T0", "T1", "T2")
 
     def __init__(self, ctx: Any, region: Region) -> None:
         h = ctx.h
         r0, r1, c0, c1 = region.r0, region.r1, region.c0, region.c1
-        self.I = slice(h + r0, h + r1)
-        self.Ip = slice(h + r0 + 1, h + r1 + 1)
-        self.Im = slice(h + r0 - 1, h + r1 - 1)
-        self.J = slice(h + c0, h + c1)
-        self.Jp = slice(h + c0 + 1, h + c1 + 1)
-        self.Jm = slice(h + c0 - 1, h + c1 - 1)
+        self.array = ctx.array
+        self.I = I = slice(h + r0, h + r1)
+        self.Ip = Ip = slice(h + r0 + 1, h + r1 + 1)
+        self.Im = Im = slice(h + r0 - 1, h + r1 - 1)
+        self.J = J = slice(h + c0, h + c1)
+        self.Jp = Jp = slice(h + c0 + 1, h + c1 + 1)
+        self.Jm = Jm = slice(h + c0 - 1, h + c1 - 1)
+        self.at = region_stencil(I, Im, Ip, J, Jm, Jp)
         shape = (r1 - r0, c1 - c0)
         cells = shape[0] * shape[1]
         self.T0 = ctx.T0.ravel()[:cells].reshape(shape)
         self.T1 = ctx.T1.ravel()[:cells].reshape(shape)
         self.T2 = ctx.T2.ravel()[:cells].reshape(shape)
+
+    def matvec(self, v: str) -> np.ndarray:
+        """``A v`` over the region, in ``T0``."""
+        A = self.array
+        return matvec_into(
+            A(v), A(F.KX), A(F.KY), self.at, self.T0, self.T1, self.T2
+        )
 
 
 # --------------------------------------------------------------------- #

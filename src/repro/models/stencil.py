@@ -16,11 +16,29 @@ each helper keeps exactly one association order, so all ports produce
 bit-for-bit identical values regardless of how they index (the PR 3
 equivalence gate depends on this).
 
-The ``*_into`` forms used by the compiled hot path evaluate the same
-order through ``out=`` into caller-owned arrays.
+The ``*_into`` forms evaluate that order through ``out=`` into
+caller-owned arrays, over a :class:`Stencil` of five operand keys, and
+serve both ways of reaching the operands:
+
+* a **region** (:func:`region_stencil`) indexes the padded 2-D arrays
+  with row/column slice pairs, for any rectangle and any memory order;
+* a **span** (:func:`row_span`) indexes the flattened arrays with 1-D
+  slices.  Interior rows ``[r0, r1)`` of a C-ordered array with row
+  pitch ``P = nx + 2h`` lie in one flat run that starts at
+  ``(h + r0) P + h`` and holds ``(r1 - r0 - 1) P + nx`` cells; the
+  neighbours are that run shifted by ``+1``, ``-1``, ``+P`` and ``-P``.
+  Each ufunc then streams contiguous memory instead of a strided view.
+  The ``2h`` halo cells between consecutive rows get values nobody
+  reads; callers copy the interior out through a pitched ``(rows, nx)``
+  view of the result.  :func:`flat` is the one place an array becomes a
+  span's operand, and it refuses any array whose rows are not ``P``
+  contiguous cells, where a flat shift would name the wrong neighbour.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -76,35 +94,90 @@ def row_diag(kx, ky, I, Ip, J, Jp) -> np.ndarray:
     return 1.0 + kx[I, Jp] + kx[I, J] + ky[Ip, J] + ky[I, J]
 
 
-def diag_into(kx, ky, I, Ip, J, Jp, out) -> np.ndarray:
+class Stencil(NamedTuple):
+    """The five operand keys of the 5-point operator.
+
+    ``c`` indexes the centre cells, ``e``/``w``/``n``/``s`` their east,
+    west, north and south neighbours: 2-D slice pairs for a region,
+    1-D slices of the flattened arrays for a span.
+    """
+
+    c: Any
+    e: Any
+    w: Any
+    n: Any
+    s: Any
+
+
+def region_stencil(I, Im, Ip, J, Jm, Jp) -> Stencil:
+    """The operand keys of the 2-D region ``[I, J]`` of the padded arrays."""
+    return Stencil((I, J), (I, Jp), (I, Jm), (Ip, J), (Im, J))
+
+
+@functools.lru_cache(maxsize=1024)
+def row_span(h: int, nx: int, r0: int, r1: int) -> tuple[int, int, Stencil]:
+    """``(start, length, stencil)`` of interior rows ``[r0, r1)`` as a span.
+
+    The run ``[start, start + length)`` of a flattened C-ordered array
+    with row pitch ``nx + 2h`` holds the band's interior cells (and the
+    halo cells between its rows); ``stencil`` is that run and its four
+    shifts.  Reads reach rows ``[h + r0 - 1, h + r1]`` only.  Cached:
+    the OpenMP slabs ask for the same few bands on every sweep.
+    """
+    pitch = nx + 2 * h
+    start = (h + r0) * pitch + h
+    length = (r1 - r0 - 1) * pitch + nx
+    return start, length, Stencil(
+        *(slice(start + d, start + d + length) for d in (0, 1, -1, pitch, -pitch))
+    )
+
+
+def flat(a: np.ndarray, pitch: int) -> np.ndarray:
+    """``a`` as one flat run of cells, for a span to index.
+
+    ``reshape(-1)`` of a non-contiguous array silently copies, and a row
+    length other than ``pitch`` moves every neighbour, so both are
+    refused here rather than computed wrong.
+    """
+    if a.ndim != 2 or a.shape[1] != pitch or not a.flags.c_contiguous:
+        raise ValueError(
+            f"a span needs a C-contiguous array with rows of {pitch} cells, "
+            f"got shape {a.shape} with strides {a.strides}"
+        )
+    return a.reshape(-1)
+
+
+def diag_into(kx, ky, at: Stencil, out) -> np.ndarray:
     """:func:`row_diag` written through ``out=``: same sums, same order.
 
-    ``out`` is a ``(len(I), len(J))`` array that shares no memory with
-    ``kx``/``ky``; nothing else is allocated.
+    ``at`` indexes ``kx``/``ky`` (2-D for a region, flat for a span);
+    ``out`` has the shape of ``kx[at.c]`` and shares no memory with
+    ``kx``/``ky``.  Nothing else is allocated.
     """
-    np.add(1.0, kx[I, Jp], out=out)
-    np.add(out, kx[I, J], out=out)
-    np.add(out, ky[Ip, J], out=out)
-    np.add(out, ky[I, J], out=out)
+    np.add(1.0, kx[at.e], out=out)
+    np.add(out, kx[at.c], out=out)
+    np.add(out, ky[at.n], out=out)
+    np.add(out, ky[at.c], out=out)
     return out
 
 
-def matvec_into(v, kx, ky, I, Im, Ip, J, Jm, Jp, out, t0, t1) -> np.ndarray:
+def matvec_into(v, kx, ky, at: Stencil, out, t0, t1) -> np.ndarray:
     """:func:`row_matvec` written through ``out=`` with two scratch arrays.
 
     Evaluates the identical association order — the diagonal term, then
     minus the x pair, then minus the y pair — so every cell's bits match
-    :func:`row_matvec`.  ``out``, ``t0`` and ``t1`` are distinct
-    ``(len(I), len(J))`` arrays sharing no memory with ``v``/``kx``/``ky``.
+    :func:`row_matvec`, however ``at`` reaches the operands.  ``out``,
+    ``t0`` and ``t1`` are distinct arrays of the shape of ``v[at.c]``
+    sharing no memory with ``v``/``kx``/``ky``.
     """
-    diag_into(kx, ky, I, Ip, J, Jp, out)
-    np.multiply(out, v[I, J], out=out)
-    np.multiply(kx[I, Jp], v[I, Jp], out=t0)
-    np.multiply(kx[I, J], v[I, Jm], out=t1)
+    diag_into(kx, ky, at, out)
+    np.multiply(out, v[at.c], out=out)
+    np.multiply(kx[at.e], v[at.e], out=t0)
+    np.multiply(kx[at.c], v[at.w], out=t1)
     np.add(t0, t1, out=t0)
     np.subtract(out, t0, out=out)
-    np.multiply(ky[Ip, J], v[Ip, J], out=t0)
-    np.multiply(ky[I, J], v[Im, J], out=t1)
+    np.multiply(ky[at.n], v[at.n], out=t0)
+    np.multiply(ky[at.c], v[at.s], out=t1)
     np.add(t0, t1, out=t0)
     np.subtract(out, t0, out=out)
     return out
