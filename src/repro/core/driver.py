@@ -232,8 +232,9 @@ class TeaLeaf:
         # Poison mode (debug): NaN-fill each work field where the liveness
         # pass proves it dead — at step entry and after the plans that
         # release it — so a stale read fails a finite guard instead of
-        # silently reusing old bytes.  It fills the port's own device
-        # arrays, so a decomposed port (fields per chunk) cannot honour it.
+        # silently reusing old bytes.  It fills the arrays compiled code
+        # writes, so it follows ``supports_codegen``: a decomposed port
+        # (fields per chunk) has no such arrays.
         self._dead_at_entry: tuple[str, ...] = ()
         if deck.tl_poison_dead_fields:
             if self.port.supports_codegen:
@@ -243,8 +244,8 @@ class TeaLeaf:
             else:
                 self.executor.fallbacks.append(
                     f"tl_poison_dead_fields requested but port "
-                    f"'{self.port.model_name}' has no single device array "
-                    f"per field; dead fields are not poisoned"
+                    f"'{self.port.model_name}' does not support it "
+                    f"(supports_codegen=False); dead fields are not poisoned"
                 )
         # A requested optimisation the port cannot honour degrades
         # loudly: one warning line per fallback, plus a record on the

@@ -19,7 +19,7 @@ from repro.core import fields as F
 from repro.core import operators as ops
 from repro.core.grid import Grid2D
 from repro.core.kernels import KERNELS, KernelSpec
-from repro.models.plan import OPS, KernelCall, fused_spec
+from repro.models.plan import OPS, HaloStep, KernelCall, fused_spec
 from repro.models.tracing import Trace, TransferDirection
 from repro.util.errors import ModelError
 
@@ -88,7 +88,8 @@ class Port(ABC):
     #: port.  Anything exposing its device storage through
     #: :meth:`_device_array` qualifies (the compiled NumPy bodies write
     #: the same arrays the ``_k_*`` primitives do); decomposed ports,
-    #: whose fields live per-chunk, opt out.  Poison mode
+    #: whose fields live per-chunk, opt out, and so does a Kokkos port
+    #: over column-major views (set per instance).  Poison mode
     #: (``tl_poison_dead_fields``) NaN-fills those same arrays, so it
     #: follows this flag too.
     supports_codegen: bool = True
@@ -233,6 +234,17 @@ class Port(ABC):
                 f"(expected a _k_{op} method)"
             ) from None
 
+    def _reduction_epilogue(self, op: str) -> None:
+        """Trace what follows one reduction's launch on this port.
+
+        Called once per reduction result on every path: by the port's own
+        interpreted reduction, by :meth:`dispatch_compiled` and by the
+        overlap tails, so ``--codegen`` and ``--overlap`` leave the
+        modelled clock where the interpreted run puts it.  Ports that
+        finish reductions on the host (CUDA, OpenCL) record their
+        partials pass and read-back; the rest have nothing to record.
+        """
+
     def dispatch(self, call: KernelCall):
         """Trace and run one operation from the kernel table."""
         op = OPS[call.op]
@@ -244,7 +256,10 @@ class Port(ABC):
         return result
 
     def dispatch_fused(
-        self, calls: tuple[KernelCall, ...], spec: KernelSpec | None = None
+        self,
+        calls: tuple[KernelCall, ...],
+        spec: KernelSpec | None = None,
+        halo: HaloStep | None = None,
     ) -> list:
         """Run a fused group as one traced launch.
 
@@ -253,11 +268,14 @@ class Port(ABC):
         is bitwise-identical to dispatching them separately; only the
         launch/traversal count changes.  The executor passes the group's
         precomputed ``spec``; synthesising it here per dispatch made
-        ``--fuse`` a net wall-time loss on fast ports.
+        ``--fuse`` a net wall-time loss on fast ports.  A ``halo``
+        prefix is refreshed inside the same launch, before the members.
         """
         if spec is None:
             spec = fused_spec(calls)
         self._launch(spec.name, spec=spec)
+        if halo is not None:
+            self._reflect(halo.names, halo.depth)
         results = []
         for call in calls:
             op = OPS[call.op]
@@ -271,13 +289,19 @@ class Port(ABC):
         """Run one codegen-lowered step (see :mod:`repro.models.codegen`).
 
         The compiled function reads and writes the port's device arrays
-        directly, so trace launches and residency dirtying are replayed
-        here from the step's pre-recorded accounting — one launch per
-        member call exactly as the interpreted dispatch would emit.
+        directly, so trace launches, reduction epilogues and residency
+        dirtying are replayed here from the step's pre-recorded
+        accounting — exactly the events the interpreted dispatch would
+        emit.  A halo prefix is refreshed inside the same launch, before
+        the members.
         """
         for kernel_name, spec in step.launches:
             self._launch(kernel_name, spec=spec)
+        if step.halo is not None:
+            self._reflect(step.halo.names, step.halo.depth)
         results = step.fn(self._codegen_ctx(), argv)
+        for op in step.reductions:
+            self._reduction_epilogue(op)
         for call, args in zip(step.calls, argv):
             written = call.spec.written(args)
             if written:
@@ -384,14 +408,25 @@ class Port(ABC):
     def update_halo(self, names: Iterable[str], depth: int) -> None:
         """Reflective physical-boundary refresh of the named fields.
 
-        The default implementation reflects on the port's device-resident
-        arrays via :meth:`_device_array`.  Neighbour exchange for decomposed
-        runs is layered on top by :mod:`repro.comm`.
+        The default implementation traces one launch per field around
+        :meth:`_reflect`.  Neighbour exchange for decomposed runs is
+        layered on top by :mod:`repro.comm`.
+        """
+        names = tuple(names)
+        for _ in names:
+            self._launch("halo_update", cells=self._halo_cells(depth))
+        self._reflect(names, depth)
+
+    def _reflect(self, names: tuple[str, ...], depth: int) -> None:
+        """Untraced reflective refresh of ``names``; marks them dirty.
+
+        Reflects on the port's device-resident arrays via
+        :meth:`_device_array`.  :meth:`update_halo` wraps it in its own
+        launches; a halo prefix runs it inside the group's launch.
         """
         for name in names:
             ops.reflective_halo_update(self._device_array(name), self.h, depth)
-            self._launch("halo_update", cells=self._halo_cells(depth))
-            self._mark_dirty((name,))
+        self._mark_dirty(names)
 
     # ------------------------------------------------------------------ #
     # async overlap (the deterministic simulated-async exchange API)

@@ -81,7 +81,14 @@ from repro.core import fields as F
 from repro.core.kernels import KernelSpec
 from repro.core.operators import RECIP_CONDUCTIVITY
 from repro.models.loopbodies import zero_boundary_coefficients
-from repro.models.plan import OPS, Bind, CompiledKernel, FusedGroup, KernelCall
+from repro.models.plan import (
+    OPS,
+    Bind,
+    CompiledKernel,
+    FusedGroup,
+    HaloStep,
+    KernelCall,
+)
 from repro.models.reduction import deterministic_sum
 from repro.models.stencil import (
     diag_into,
@@ -123,13 +130,16 @@ class CodegenContext:
     __slots__ = (
         "array", "h", "nx", "ny", "pitch", "dx2", "dy2",
         "I", "Ip", "Im", "J", "Jp", "Jm", "at", "span", "spans", "pitched",
-        "T0", "T1", "T2",
+        "T0", "T1", "T2", "regions",
     )
 
     def __init__(self, array: Callable[[str], np.ndarray], grid: Any) -> None:
         h, nx, ny = grid.halo, grid.nx, grid.ny
         pitch = nx + 2 * h
         self.array = array
+        #: The overlap executor's region views, built on first use
+        #: (:func:`repro.models.overlap.region_views`).
+        self.regions = None
         self.h, self.nx, self.ny, self.pitch = h, nx, ny, pitch
         self.dx2 = grid.dx * grid.dx
         self.dy2 = grid.dy * grid.dy
@@ -409,6 +419,7 @@ def _whole(d: OpDef) -> Callable[[CodegenContext, tuple], float | None]:
 def _lower(
     calls: tuple[KernelCall, ...],
     launches: tuple[tuple[str, KernelSpec | None], ...],
+    halo: HaloStep | None = None,
 ) -> CompiledKernel:
     fns = tuple(_whole(OP_DEFS[c.op]) for c in calls)
 
@@ -421,6 +432,8 @@ def _lower(
         launches=launches,
         argv=tuple(c.args for c in calls),
         has_binds=any(isinstance(a, Bind) for c in calls for a in c.args),
+        halo=halo,
+        reductions=tuple(c.op for c in calls if c.spec.reduction),
     )
 
 
@@ -429,7 +442,9 @@ def lower_steps(steps: list) -> list:
 
     Halo, scalar, barrier, fault and guard steps pass through unchanged —
     codegen only replaces kernel *bodies*, so instrumentation points and
-    execution order are exactly those of the interpreted plan.
+    execution order are exactly those of the interpreted plan.  A fused
+    group's halo prefix stays with it: ``Port.dispatch_compiled``
+    refreshes the halo before the members, as ``dispatch_fused`` does.
     """
     out: list = []
     for step in steps:
@@ -439,7 +454,9 @@ def lower_steps(steps: list) -> list:
         elif isinstance(step, FusedGroup) and all(
             c.op in OP_DEFS for c in step.calls
         ):
-            out.append(_lower(step.calls, ((step.spec.name, step.spec),)))
+            out.append(
+                _lower(step.calls, ((step.spec.name, step.spec),), step.halo)
+            )
         else:
             out.append(step)
     return out

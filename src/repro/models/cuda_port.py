@@ -188,6 +188,18 @@ def cuda_summary_term(ctx, n, pitch, h, nx, mode, cell_volume, density, energy, 
     partials[: ctx.gridDim_x] = block_reduce_sum(value, ctx.blockDim_x)
 
 
+#: The block-reduce kernel behind each reducing op.
+REDUCE_KERNELS = {
+    "cg_init": cuda_cg_init,
+    "cg_calc_w": cuda_cg_calc_w,
+    "cg_calc_ur": cuda_cg_calc_ur,
+    "jacobi_iterate": cuda_jacobi,
+    "norm2_field": cuda_dot,
+    "dot_fields": cuda_dot,
+    "field_summary": cuda_summary_term,
+}
+
+
 # --------------------------------------------------------------------- #
 # the port
 # --------------------------------------------------------------------- #
@@ -259,13 +271,23 @@ class CUDAPort(Port):
     def _run(self, kernel, *args) -> None:
         launch(kernel, self.grid_dim, self.block, *self._geo(), *args)
 
-    def _run_reduce(self, kernel, *args) -> float:
+    def _run_reduce(self, op: str, *args) -> float:
         launch(
-            kernel, self.grid_dim, self.block, *self._geo(), *args,
+            REDUCE_KERNELS[op], self.grid_dim, self.block, *self._geo(), *args,
             self._partials.data,
         )
-        self.trace.reduction_pass(f"block_reduce:{kernel.__name__}", self.grid_dim.x * 8)
-        if self._residency_enabled:
+        self._reduction_epilogue(op)
+        # Canonical host-side combine of the block partials (the in-block
+        # tree already equals the canonical chunk stage).
+        return combine_partials(
+            self._partials.data if self._residency_enabled else self._partials_host
+        )
+
+    def _reduction_epilogue(self, op: str) -> None:
+        self.trace.reduction_pass(
+            f"block_reduce:{REDUCE_KERNELS[op].__name__}", self.grid_dim.x * 8
+        )
+        if not self._residency_enabled:
             # Residency mode pins the partials buffer in host-mapped
             # (zero-copy) memory, so the final combine reads the block
             # partials in place — no per-reduction D2H transfer.  This
@@ -274,15 +296,9 @@ class CUDAPort(Port):
             # on, burying the field-transfer savings under ~250
             # partials readbacks per step.  Values are identical either
             # way; only the redundant copy (and its trace event) goes.
-            host = self._partials.data
-        else:
             self.rt.memcpy(
                 self._partials_host, self._partials, MemcpyKind.DEVICE_TO_HOST
             )
-            host = self._partials_host
-        # Canonical host-side combine of the block partials (the in-block
-        # tree already equals the canonical chunk stage).
-        return combine_partials(host)
 
     def _d(self, name: str) -> np.ndarray:
         return self.dev[name].data
@@ -316,19 +332,19 @@ class CUDAPort(Port):
 
     def _k_cg_init(self) -> float:
         return self._run_reduce(
-            cuda_cg_init,
+            "cg_init",
             self._d(F.U), self._d(F.U0), self._d(F.W), self._d(F.R), self._d(F.P),
             self._d(F.KX), self._d(F.KY),
         )
 
     def _k_cg_calc_w(self) -> float:
         return self._run_reduce(
-            cuda_cg_calc_w, self._d(F.P), self._d(F.W), self._d(F.KX), self._d(F.KY)
+            "cg_calc_w", self._d(F.P), self._d(F.W), self._d(F.KX), self._d(F.KY)
         )
 
     def _k_cg_calc_ur(self, alpha: float) -> float:
         return self._run_reduce(
-            cuda_cg_calc_ur, alpha,
+            "cg_calc_ur", alpha,
             self._d(F.U), self._d(F.R), self._d(F.P), self._d(F.W),
         )
 
@@ -365,15 +381,15 @@ class CUDAPort(Port):
 
     def _k_jacobi_iterate(self) -> float:
         return self._run_reduce(
-            cuda_jacobi,
+            "jacobi_iterate",
             self._d(F.U), self._d(F.R), self._d(F.U0), self._d(F.KX), self._d(F.KY),
         )
 
     def _k_norm2_field(self, name: str) -> float:
-        return self._run_reduce(cuda_dot, self._d(name), self._d(name))
+        return self._run_reduce("norm2_field", self._d(name), self._d(name))
 
     def _k_dot_fields(self, a: str, b: str) -> float:
-        return self._run_reduce(cuda_dot, self._d(a), self._d(b))
+        return self._run_reduce("dot_fields", self._d(a), self._d(b))
 
     def _k_copy_field(self, src: str, dst: str) -> None:
         self.rt.memcpy(self.dev[dst], self.dev[src], MemcpyKind.DEVICE_TO_DEVICE)
@@ -384,7 +400,7 @@ class CUDAPort(Port):
     def _k_field_summary(self) -> tuple[float, float, float, float]:
         terms = tuple(
             self._run_reduce(
-                cuda_summary_term, mode, self.grid.cell_volume,
+                "field_summary", mode, self.grid.cell_volume,
                 self._d(F.DENSITY), self._d(F.ENERGY1), self._d(F.U),
             )
             for mode in range(4)

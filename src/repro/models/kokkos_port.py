@@ -415,6 +415,10 @@ class KokkosPort(Port):
         # LayoutLeft (the CUDA coalescing default) views, with neighbour
         # offsets derived from the layout's strides.
         self.geo = _Geometry(grid, layout)
+        # The compiled bodies index C-contiguous rows of the padded
+        # fields; a LayoutLeft port refuses codegen, and the executor
+        # records the fallback instead of failing at the first call.
+        self.supports_codegen = layout is not Layout.LEFT
         self.views: dict[str, View] = {
             name: View(name, grid.shape, layout, MemorySpace.DEVICE)
             for name in F.FIELD_ORDER

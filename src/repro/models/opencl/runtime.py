@@ -162,13 +162,15 @@ class CommandQueue:
         local_size: int,
         partials: Buffer,
         scalar: bool = False,
+        mark: bool = True,
     ) -> int:
         """Launch a manually-written reduction kernel (§3.6).
 
         The kernel returns one contribution per work item; each work group
         combines its items with a local-memory tree and the work-group
         leader writes one partial to ``partials``.  Returns the number of
-        partials written (for the host's final combine).
+        partials written (for the host's final combine).  ``mark=False``
+        leaves the pass marker to the caller's own reduction epilogue.
         """
         self._check_sizes(global_size, local_size)
         num_groups = global_size // local_size
@@ -203,7 +205,10 @@ class CommandQueue:
             groups = groups[:, :stride]
             stride //= 2
         partials.device_view[:num_groups] = groups[:, 0]
-        self.trace.reduction_pass(f"workgroup_reduce:{kernel.name}", num_groups * 8)
+        if mark:
+            self.trace.reduction_pass(
+                f"workgroup_reduce:{kernel.name}", num_groups * 8
+            )
         self._pending += 1
         return num_groups
 

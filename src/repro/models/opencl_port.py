@@ -208,6 +208,17 @@ KERNEL_SOURCES = {
     "summary_term": k_summary_term,
 }
 
+#: The reduction kernel behind each reducing op.
+REDUCE_SOURCES = {
+    "cg_init": "cg_init",
+    "cg_calc_w": "cg_calc_w",
+    "cg_calc_ur": "cg_calc_ur",
+    "jacobi_iterate": "jacobi",
+    "norm2_field": "dot",
+    "dot_fields": "dot",
+    "field_summary": "summary_term",
+}
+
 #: Work-group size used for every launch (the port tunes one size per
 #: device in reality; 128 is the reference GPU choice).
 LOCAL_SIZE = 128
@@ -313,8 +324,8 @@ class OpenCLPort(Port):
             kernel, self._global, self.local_size, scalar=self.scalar_dispatch
         )
 
-    def _run_reduce(self, name: str, *args) -> float:
-        kernel = self.kernels[name]
+    def _run_reduce(self, op: str, *args) -> float:
+        kernel = self.kernels[REDUCE_SOURCES[op]]
         base = self._geometry_args(kernel)
         for offset, value in enumerate(args):
             kernel.set_arg(base + offset, value)
@@ -324,10 +335,21 @@ class OpenCLPort(Port):
             self.local_size,
             self._partials,
             scalar=self.scalar_dispatch,
+            mark=False,
         )
         # Host-side final combine of the work-group partials.
         host = self._partials_host[:groups]
         host[...] = self._partials.device_view[:groups]
+        self._reduction_epilogue(op)
+        # Canonical host-side combine: the work-group tree already equals
+        # the canonical chunk stage for the default local size.
+        return combine_partials(host)
+
+    def _reduction_epilogue(self, op: str) -> None:
+        groups = self._global // self.local_size
+        self.trace.reduction_pass(
+            f"workgroup_reduce:{REDUCE_SOURCES[op]}", groups * 8
+        )
         if not self._residency_enabled:
             # Residency mode maps the partials buffer host-visible
             # (CL_MEM_ALLOC_HOST_PTR), so the combine reads the group
@@ -335,9 +357,6 @@ class OpenCLPort(Port):
             # D2H transfer — previously every iteration's reductions
             # counted one, swamping the field-residency savings.
             self.trace.transfer("read_partials", groups * 8, TransferDirection.D2H)
-        # Canonical host-side combine: the work-group tree already equals
-        # the canonical chunk stage for the default local size.
-        return combine_partials(host)
 
     # ------------------------------------------------------------------ #
     # the kernel set
@@ -412,13 +431,13 @@ class OpenCLPort(Port):
 
     def _k_jacobi_iterate(self) -> float:
         b = self.buffers
-        return self._run_reduce("jacobi", b[F.U], b[F.R], b[F.U0], b[F.KX], b[F.KY])
+        return self._run_reduce("jacobi_iterate", b[F.U], b[F.R], b[F.U0], b[F.KX], b[F.KY])
 
     def _k_norm2_field(self, name: str) -> float:
-        return self._run_reduce("dot", self.buffers[name], self.buffers[name])
+        return self._run_reduce("norm2_field", self.buffers[name], self.buffers[name])
 
     def _k_dot_fields(self, a: str, b: str) -> float:
-        return self._run_reduce("dot", self.buffers[a], self.buffers[b])
+        return self._run_reduce("dot_fields", self.buffers[a], self.buffers[b])
 
     def _k_copy_field(self, src: str, dst: str) -> None:
         kernel = self.kernels["copy"]
@@ -440,7 +459,7 @@ class OpenCLPort(Port):
         for mode in range(4):
             terms.append(
                 self._run_reduce(
-                    "summary_term",
+                    "field_summary",
                     mode,
                     self.grid.cell_volume,
                     b[F.DENSITY],

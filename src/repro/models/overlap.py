@@ -143,12 +143,15 @@ class RegionSlices:
     scratch.
     """
 
-    __slots__ = ("array", "I", "Ip", "Im", "J", "Jp", "Jm", "at", "T0", "T1", "T2")
+    __slots__ = (
+        "array", "cells", "I", "Ip", "Im", "J", "Jp", "Jm", "at", "T0", "T1", "T2",
+    )
 
     def __init__(self, ctx: Any, region: Region) -> None:
         h = ctx.h
         r0, r1, c0, c1 = region.r0, region.r1, region.c0, region.c1
         self.array = ctx.array
+        self.cells = region.cells
         self.I = I = slice(h + r0, h + r1)
         self.Ip = Ip = slice(h + r0 + 1, h + r1 + 1)
         self.Im = Im = slice(h + r0 - 1, h + r1 - 1)
@@ -168,6 +171,22 @@ class RegionSlices:
         return matvec_into(
             A(v), A(F.KX), A(F.KY), self.at, self.T0, self.T1, self.T2
         )
+
+
+def region_views(ctx: Any) -> tuple[RegionSlices | None, tuple[RegionSlices, ...]]:
+    """The core and strip views of ``ctx``'s interior, built on first use.
+
+    The partition and the scratch views never change for a port, so they
+    are kept on its codegen context and every overlapped step reuses
+    them.
+    """
+    if ctx.regions is None:
+        core, strips = interior_partition(ctx.ny, ctx.nx, STENCIL_REACH)
+        ctx.regions = (
+            None if core is None else RegionSlices(ctx, core),
+            tuple(RegionSlices(ctx, strip) for strip in strips),
+        )
+    return ctx.regions
 
 
 # --------------------------------------------------------------------- #
@@ -384,10 +403,7 @@ def execute_overlap(
     chunks = []
     for cp in port.overlap_chunks():
         ctx = cp._codegen_ctx()
-        core, strips = interior_partition(
-            cp.grid.ny, cp.grid.nx, STENCIL_REACH
-        )
-        chunks.append((cp, ctx, core, strips))
+        chunks.append((cp, ctx, *region_views(ctx)))
 
     nbytes, messages = port.halo_wire_traffic(halo.names, halo.depth)
     token = port.halo_begin(halo.names, halo.depth)
@@ -396,34 +412,35 @@ def execute_overlap(
     for cp, ctx, core, strips in chunks:
         if core is None:
             continue
-        S = RegionSlices(ctx, core)
         for call, d, args in zip(calls, defs, argv):
             if d.sweep is None:
                 continue
             spec = cp._launch(call.spec.kernel, cells=core.cells)
-            d.sweep(ctx, S, args)
+            d.sweep(ctx, core, args)
             interior_bytes += spec.bytes_for(core.cells)
 
     port.halo_wait(token)
 
     for cp, ctx, core, strips in chunks:
-        for strip in strips:
-            S = RegionSlices(ctx, strip)
+        for S in strips:
             for call, d, args in zip(calls, defs, argv):
                 if d.sweep is None:
                     continue
-                cp._launch(call.spec.kernel, cells=strip.cells)
+                cp._launch(call.spec.kernel, cells=S.cells)
                 d.sweep(ctx, S, args)
 
     results = []
     for call, d, args in zip(calls, defs, argv):
         partials = []
+        reduction = call.spec.reduction
         for cp, ctx, core, strips in chunks:
             if d.sweep is None:
                 cp._launch(call.spec.kernel, cells=ctx.nx * ctx.ny)
             partials.append(d.tail(ctx, args))
+            if reduction:
+                cp._reduction_epilogue(call.op)
         results.append(
-            port.overlap_reduce(partials) if call.spec.reduction else None
+            port.overlap_reduce(partials) if reduction else None
         )
         written = call.spec.written(args)
         if written:

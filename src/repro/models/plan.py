@@ -19,7 +19,9 @@ optimisation:
   one :class:`FusedGroup`, dispatched as a single traversal.  Reductions
   stay on the canonical ``deterministic_sum`` path and the member bodies
   run in original order, so results are bitwise-identical to the unfused
-  plan.
+  plan.  A halo refresh whose fields the next traversal stencil-reads
+  becomes that traversal's prefix, traced as part of its one launch
+  (:func:`_prefix_halos`).
 * **Residency tracking**: executed plans report written fields to the
   port's dirty-set adapter, letting offload ports elide redundant
   host<->device transfers (see ``Port.enable_residency_tracking``).
@@ -296,10 +298,17 @@ class FusedGroup:
     regression on fast ports despite dispatching fewer launches.
     Construction also audits the member dataflow (:func:`audit_fusion`),
     so an illegal group cannot be built at all.
+
+    ``halo`` is a reflective refresh the traversal runs as its prefix
+    (see :func:`_prefix_halos`): it is traced as part of the group's one
+    launch, and a prefix may lead a group whose only member is a
+    non-fusable call.  A one-member group launches under its member's
+    own kernel spec, exactly as the lone call would.
     """
 
     calls: tuple[KernelCall, ...]
-    #: Synthesised launch spec (compile-time constant for the group).
+    halo: HaloStep | None = None
+    #: Launch spec (compile-time constant for the group).
     spec: KernelSpec = field(init=False, repr=False, compare=False)
     #: True when any member has a late-bound scalar argument; groups
     #: without one skip per-execution argument resolution entirely.
@@ -307,7 +316,17 @@ class FusedGroup:
 
     def __post_init__(self) -> None:
         audit_fusion(self.calls)
-        object.__setattr__(self, "spec", fused_spec(self.calls))
+        if self.halo is not None:
+            reason = prefix_reason(self.halo, self.calls)
+            if reason is not None:
+                raise ModelError(f"illegal halo prefix: {reason}")
+        object.__setattr__(
+            self,
+            "spec",
+            fused_spec(self.calls)
+            if len(self.calls) > 1
+            else self.calls[0].spec.spec(),
+        )
         object.__setattr__(
             self,
             "has_binds",
@@ -404,9 +423,21 @@ class CompiledKernel:
     launches: tuple[tuple[str, KernelSpec | None], ...]
     argv: tuple[tuple[Any, ...], ...]
     has_binds: bool
+    #: The group's halo prefix, refreshed before ``fn`` runs.
+    halo: HaloStep | None = None
+    #: Ops of the reducing members, in order: each result gets the
+    #: port's reduction epilogue (``Port._reduction_epilogue``).
+    reductions: tuple[str, ...] = ()
 
 
 Step = Any  # KernelCall | HaloStep | ... | FusedGroup | FaultStep | GuardStep
+
+
+#: Ops whose public ``Port`` method dispatches more than the op itself:
+#: ``jacobi_iterate`` first stashes u in r through ``copy_field``.  A
+#: group runs its members through their primitives, so such an op never
+#: runs inside one.
+_COMPOUND_OPS = frozenset({"jacobi_iterate"})
 
 
 def audit_fusion(calls: tuple[KernelCall, ...]) -> None:
@@ -422,11 +453,20 @@ def audit_fusion(calls: tuple[KernelCall, ...]) -> None:
     cell-parallel port.  ``_can_fuse`` refuses such candidates during
     compilation; this audit re-checks every constructed group (including
     hand-built ones in tests), making an illegal group unrepresentable.
+
+    A group of one call fuses nothing, so its op need not be fusable (a
+    halo prefix may lead a lone Chebyshev sweep) — unless the op's
+    public method dispatches more than the op itself.
     """
     outs: set[str] = set()
     for idx, cand in enumerate(calls):
         spec = cand.spec
-        if not spec.fusable:
+        if cand.op in _COMPOUND_OPS:
+            raise ModelError(
+                f"illegal fusion: '{cand.op}' dispatches more than one "
+                f"operation, so it cannot run inside a group"
+            )
+        if not spec.fusable and len(calls) > 1:
             raise ModelError(
                 f"illegal fusion: '{cand.op}' is not a fusable operation"
             )
@@ -455,6 +495,27 @@ def audit_fusion(calls: tuple[KernelCall, ...]) -> None:
                     f"{sorted(set(o_spec.stencil_reads) & cand_writes)} "
                     f"written later by '{cand.op}' in the same group"
                 )
+
+
+def prefix_reason(halo: HaloStep, calls: tuple[KernelCall, ...]) -> str | None:
+    """Why ``halo`` may NOT run as the prefix of ``calls`` — ``None`` when legal.
+
+    The refresh may join the traversal only when the group stencil-reads
+    every refreshed field: on a single-chunk port each ghost cell the
+    5-point stencil reads mirrors the very cell that reads it, so running
+    the refresh first for each cell gives the bits of a separate launch.
+    """
+    stencil = {n for c in calls for n in c.spec.stencil_reads}
+    missing = set(halo.names) - stencil
+    if missing:
+        return f"no member stencil-reads {sorted(missing)}"
+    for call in calls:
+        if call.op in _COMPOUND_OPS:
+            return (
+                f"'{call.op}' dispatches more than one operation, so it "
+                f"cannot run inside a group"
+            )
+    return None
 
 
 def fused_spec(calls: tuple[KernelCall, ...]) -> KernelSpec:
@@ -590,6 +651,28 @@ def _overlap_steps(steps: list[Step]) -> list[Step]:
     return out
 
 
+def _prefix_halos(steps: list[Step]) -> list[Step]:
+    """Fold each halo into the traversal that stencil-reads what it refreshes.
+
+    A :class:`HaloStep` followed by a kernel call or fused group that
+    :func:`prefix_reason` accepts becomes that traversal's prefix
+    (:class:`FusedGroup` ``halo``): one launch instead of two, the same
+    bits.  Runs after fusion, so the group keeps the members fusion gave
+    it; an overlap-compiled plan skips it, because there ``--overlap``
+    pairs each exchange with its sweep.
+    """
+    out: list[Step] = []
+    for step in steps:
+        halo = out[-1] if out and isinstance(out[-1], HaloStep) else None
+        if halo is not None and isinstance(step, (KernelCall, FusedGroup)):
+            calls = step.calls if isinstance(step, FusedGroup) else (step,)
+            if prefix_reason(halo, calls) is None:
+                out[-1] = FusedGroup(calls, halo=halo)
+                continue
+        out.append(step)
+    return out
+
+
 def _instrument(steps: list[Step]) -> list[Step]:
     """Weave fault-trigger and guard steps into a compiled step list.
 
@@ -607,6 +690,10 @@ def _instrument(steps: list[Step]) -> list[Step]:
             if guard is not None:
                 out.append(guard)
         elif isinstance(step, FusedGroup):
+            # A halo prefix keeps the unfused pair's fault points, the
+            # exchange's first.
+            if step.halo is not None:
+                out.append(FaultStep(("update_halo",)))
             out.append(FaultStep(tuple(c.op for c in step.calls)))
             out.append(step)
             for call in step.calls:
@@ -656,11 +743,14 @@ class Plan:
         loops replay the same compiled list every iteration instead of
         rebuilding their call sequence.  Pass order: ``fuse`` first,
         then ``overlap`` pairs exchanges with the (possibly fused) sweep
-        behind them, ``instrument`` weaves resilience fault/guard steps
-        around the result (see :func:`_instrument`), and ``codegen``
-        finally lowers the remaining plain kernel calls and fused groups
-        to composed NumPy functions (:mod:`repro.models.codegen`),
-        leaving halo/scalar/guard/overlap steps interpreted.
+        behind them — or, with fusion on and overlap off, each halo
+        becomes the prefix of the traversal that reads it (see
+        :func:`_prefix_halos`) — ``instrument`` weaves resilience
+        fault/guard steps around the result (see :func:`_instrument`),
+        and ``codegen`` finally lowers the remaining plain kernel calls
+        and fused groups to composed NumPy functions
+        (:mod:`repro.models.codegen`), leaving halo/scalar/guard/overlap
+        steps interpreted.
         """
         key = (bool(fuse), bool(instrument), bool(codegen), bool(overlap))
         cached = self._compiled.get(key)
@@ -668,6 +758,8 @@ class Plan:
             cached = self._compile() if fuse else list(self.steps)
             if key[3]:
                 cached = _overlap_steps(cached)
+            elif key[0]:
+                cached = _prefix_halos(cached)
             if key[1]:
                 cached = _instrument(cached)
             if key[2]:
@@ -759,11 +851,13 @@ def render_step(step: Step) -> str:
             f"overlap {{ {render_step(step.halo)} || interior-first "
             f"{render_step(step.body)} }}"
         )
-    if isinstance(step, CompiledKernel):
-        inner = "; ".join(render_step(c) for c in step.calls)
-        return f"compiled[{len(step.calls)}]  {{ {inner} }}"
-    if isinstance(step, FusedGroup):
-        inner = "; ".join(render_step(c) for c in step.calls)
+    if isinstance(step, (CompiledKernel, FusedGroup)):
+        parts = [render_step(c) for c in step.calls]
+        if step.halo is not None:
+            parts.insert(0, f"prefix {render_step(step.halo)}")
+        inner = "; ".join(parts)
+        if isinstance(step, CompiledKernel):
+            return f"compiled[{len(step.calls)}]  {{ {inner} }}"
         return f"fused[{len(step.calls)}] {step.spec.name}  {{ {inner} }}"
     if isinstance(step, KernelCall):
         op = step.spec
@@ -1071,6 +1165,8 @@ class PlanExecutor:
                 else:
                     argv = step.argv
                 results = port.dispatch_compiled(step, argv)
+                if step.halo is not None:
+                    self._record_halo(plan.name, step.halo)
                 for call, value in zip(step.calls, results):
                     self._store(call, value, env)
                 if m is not None:
@@ -1087,7 +1183,9 @@ class PlanExecutor:
                     )
                 else:
                     calls = step.calls
-                results = port.dispatch_fused(calls, step.spec)
+                results = port.dispatch_fused(calls, step.spec, step.halo)
+                if step.halo is not None:
+                    self._record_halo(plan.name, step.halo)
                 for call, value in zip(calls, results):
                     self._store(call, value, env)
                 if m is not None:
@@ -1101,14 +1199,7 @@ class PlanExecutor:
                     m.note_writes(step.spec.written(args))
             elif isinstance(step, HaloStep):
                 port.update_halo(step.names, depth=step.depth)
-                self.comm.record_halo(
-                    plan.name,
-                    step.names,
-                    step.depth,
-                    self._halo_cost(step.names, step.depth),
-                )
-                if m is not None:
-                    m.note_writes(step.names)
+                self._record_halo(plan.name, step)
             elif isinstance(step, OverlapStep):
                 if step.has_binds:
                     argv = tuple(
@@ -1152,6 +1243,17 @@ class PlanExecutor:
         if dead:
             self.poison(dead)
         return env
+
+    def _record_halo(self, plan_name: str, halo: HaloStep) -> None:
+        """Ledger and journal entries of one exchange, standalone or prefix."""
+        self.comm.record_halo(
+            plan_name,
+            halo.names,
+            halo.depth,
+            self._halo_cost(halo.names, halo.depth),
+        )
+        if self.resilience is not None:
+            self.resilience.note_writes(halo.names)
 
     @staticmethod
     def _resolve(args: tuple[Any, ...], env: Mapping[str, float]) -> tuple[Any, ...]:

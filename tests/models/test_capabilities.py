@@ -131,3 +131,23 @@ class TestPortContract:
         for name, cls in fusing.items():
             assert cls.begin_solve is Port.begin_solve, name
             assert cls.end_solve is Port.end_solve, name
+
+    def test_fusing_ports_refresh_halos_reflectively(self):
+        # A halo prefix runs Port._reflect inside the consumer's launch;
+        # that gives the separate launch's bits only while the port's
+        # update_halo is that same local reflective refresh.
+        fusing = {
+            name: type(port)
+            for name, port in self.registered_ports().items()
+            if port.supports_fusion
+        }
+        assert fusing
+        for name, cls in fusing.items():
+            assert cls.update_halo is Port.update_halo, name
+            assert cls._reflect is Port._reflect, name
+
+    def test_wrapping_and_decomposed_ports_do_not_fuse(self):
+        # Their exchanges are not local reflections (MultiChunkPort), or
+        # they must observe every halo call (LockstepPort, TracingStubPort).
+        for cls in (MultiChunkPort, LockstepPort, TracingStubPort):
+            assert cls.supports_fusion is False, cls.__name__

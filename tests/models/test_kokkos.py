@@ -231,6 +231,32 @@ class TestLayoutPolymorphism:
             results[Layout.LEFT][1], results[Layout.RIGHT][1], rtol=1e-13
         )
 
+    def test_layout_left_refuses_codegen_loudly(self):
+        """The compiled bodies index C-contiguous rows, so a LayoutLeft
+        port falls back to its functors and the run says so."""
+        import dataclasses
+
+        from repro.core import fields as F
+        from repro.core.deck import default_deck
+        from repro.core.driver import TeaLeaf
+        from repro.models.kokkos_port import KokkosPort
+
+        deck = default_deck(n=20, solver="cg", end_step=1, eps=1e-9)
+        g = deck.grid()
+        plain = TeaLeaf(deck, port=KokkosPort(g, layout=Layout.LEFT))
+        plain.run()
+        app = TeaLeaf(
+            dataclasses.replace(deck, tl_codegen=True),
+            port=KokkosPort(g, layout=Layout.LEFT),
+        )
+        result = app.run()
+        assert app.executor.codegen is False
+        assert len(result.fallbacks) == 1
+        assert "codegen" in result.fallbacks[0]
+        assert "'kokkos'" in result.fallbacks[0]
+        np.testing.assert_array_equal(app.field(F.U), plain.field(F.U))
+        assert KokkosPort(g).supports_codegen
+
     def test_layout_left_strides(self):
         from repro.core.grid import Grid2D
         from repro.models.kokkos_port import _Geometry

@@ -219,3 +219,30 @@ class TestCommStats:
         d = stats.as_dict()
         assert len(d["sites"]) == 1
         assert d["sites"][0]["count"] == 10
+
+
+# --------------------------------------------------------------------- #
+# region views
+# --------------------------------------------------------------------- #
+def test_region_views_are_built_once_per_chunk(monkeypatch):
+    """A chunk's partition and scratch views never change, so the core
+    and its four strips are built on the first overlapped step and
+    reused by every later one: 5 constructions per chunk in total."""
+    from repro.comm.multichunk import MultiChunkPort
+
+    built = []
+    init = RegionSlices.__init__
+
+    def counting_init(self, ctx, region):
+        built.append(region)
+        init(self, ctx, region)
+
+    monkeypatch.setattr(RegionSlices, "__init__", counting_init)
+    deck = dataclasses.replace(
+        default_deck(n=32, solver="cg", end_step=2), tl_overlap=True
+    )
+    port = MultiChunkPort(deck.grid(), nranks=4)
+    result = TeaLeaf(deck, port=port).run()
+    assert result.comm["overlap_steps"] >= 10
+    assert len(built) == 5 * 4
+    assert all(chunk._codegen_ctx().regions is not None for chunk in port.ports)
