@@ -232,12 +232,12 @@ class TeaLeaf:
         # Poison mode (debug): NaN-fill each work field where the liveness
         # pass proves it dead — at step entry and after the plans that
         # release it — so a stale read fails a finite guard instead of
-        # silently reusing old bytes.  It fills the arrays compiled code
-        # writes, so it follows ``supports_codegen``: a decomposed port
-        # (fields per chunk) has no such arrays.
+        # silently reusing old bytes.  It fills each chunk's device
+        # arrays, so it follows ``supports_overlap``, which declares
+        # that those arrays are the ones the kernels use.
         self._dead_at_entry: tuple[str, ...] = ()
         if deck.tl_poison_dead_fields:
-            if self.port.supports_codegen:
+            if self.port.supports_overlap:
                 liveness = deck_liveness(deck)
                 self.executor.poison_after = liveness.releases
                 self._dead_at_entry = liveness.dead_at_entry
@@ -245,7 +245,7 @@ class TeaLeaf:
                 self.executor.fallbacks.append(
                     f"tl_poison_dead_fields requested but port "
                     f"'{self.port.model_name}' does not support it "
-                    f"(supports_codegen=False); dead fields are not poisoned"
+                    f"(supports_overlap=False); dead fields are not poisoned"
                 )
         # A requested optimisation the port cannot honour degrades
         # loudly: one warning line per fallback, plus a record on the

@@ -153,12 +153,12 @@ class LockstepPort(Port):
 
     model_name = "lockstep"
     #: The facade exists to observe every public kernel call; overlap
-    #: execution writes device arrays directly and would bypass the
-    #: per-call comparison, so it is refused (the executor records the
-    #: fallback instead of silently degrading the lockstep contract).
+    #: execution and dead-field poison write device arrays directly and
+    #: would bypass the per-call comparison (they reach only the
+    #: reference port), so both are refused and the fallback recorded
+    #: instead of silently degrading the lockstep contract.
     supports_overlap = False
-    #: Compiled kernels and dead-field poison write through
-    #: :meth:`_device_array`, which reaches only the reference port; the
+    #: Compiled kernels write through :meth:`_device_array` too, so the
     #: candidate would never run them and every such call would read as
     #: a divergence.  Refused likewise, so the ports' own primitives are
     #: what gets compared.

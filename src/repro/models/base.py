@@ -86,19 +86,21 @@ class Port(ABC):
 
     #: Whether the executor may run codegen-lowered plans against this
     #: port.  Anything exposing its device storage through
-    #: :meth:`_device_array` qualifies (the compiled NumPy bodies write
-    #: the same arrays the ``_k_*`` primitives do); decomposed ports,
-    #: whose fields live per-chunk, opt out, and so does a Kokkos port
-    #: over column-major views (set per instance).  Poison mode
-    #: (``tl_poison_dead_fields``) NaN-fills those same arrays, so it
-    #: follows this flag too.
+    #: :meth:`_device_array` as C-ordered rows qualifies (the compiled
+    #: NumPy bodies write the same arrays the ``_k_*`` primitives do,
+    #: over spans); decomposed ports, whose fields live per-chunk, opt
+    #: out, and so does a Kokkos port over column-major views (set per
+    #: instance).
     supports_codegen: bool = True
 
     #: Whether the async overlap executor may split this port's sweeps
     #: into interior/boundary regions and run them around a posted halo
-    #: exchange.  Anything with a :meth:`_device_array` qualifies;
-    #: proxies that must observe every public kernel call (the lockstep
-    #: numerics harness) opt out, and the executor records the fallback.
+    #: exchange.  It declares that :meth:`_device_array` of every port in
+    #: :meth:`overlap_chunks` returns the arrays the kernels use: the
+    #: overlapped sweeps write them, and poison mode
+    #: (``tl_poison_dead_fields``) NaN-fills them, so it follows this
+    #: flag.  Proxies that must observe every public kernel call (the
+    #: lockstep numerics harness) opt out, and the fallback is recorded.
     supports_overlap: bool = True
 
     #: Executor the driver attaches for plan replay; solvers fall back to

@@ -17,7 +17,11 @@ need to take it:
   **tail** (same-cell updates and reductions, run after the wait).
   These are the very functions ``--codegen`` composes, evaluated over
   sub-slices of the same full-interior expressions, so every cell's
-  bits are identical to the non-overlapped run.
+  bits are identical to the non-overlapped run.  The core's stencil
+  runs over its span of the padded fields (:class:`SpanSlices`) on
+  every port whose arrays :func:`~repro.models.stencil.flat` accepts;
+  the strips, and the core of a column-major Kokkos port, run over 2-D
+  slices (:class:`RegionSlices`).
 * :func:`overlap_reason` is the legality pass, over read/write sets
   derived from the :data:`~repro.models.plan.OPS` dataflow table: it
   refuses pairs where a sweep writes an exchanged field (the WAR
@@ -30,7 +34,12 @@ need to take it:
 * :func:`execute_overlap` runs one :class:`~repro.models.plan.OverlapStep`:
   post the exchange (``port.halo_begin``), sweep every chunk's core,
   complete the exchange (``port.halo_wait``), sweep the strips, then run
-  the tails and combine reduction partials deterministically.
+  the tails and combine reduction partials deterministically.  Each
+  chunk traces two launches under the body's own launch spec, as OP2
+  runs a split parallel loop: the core, which does not reduce, and one
+  boundary ring over all four strips, which carries the body's
+  reduction.  An overlapped run therefore has the synchronous run's
+  reductions and one launch more per chunk per overlapped step.
 
 Deterministic simulated-async mode
 ----------------------------------
@@ -55,7 +64,13 @@ import numpy as np
 from repro.core import fields as F
 from repro.models.codegen import OP_DEFS
 from repro.models.plan import FusedGroup, HaloStep, KernelCall
-from repro.models.stencil import matvec_into, region_stencil
+from repro.models.stencil import (
+    flat,
+    flattens,
+    matvec_into,
+    region_stencil,
+    row_span,
+)
 
 #: Stencil reach of every overlappable operation (the 5-point stencil
 #: reads one neighbour in each direction).  The boundary-strip width is
@@ -135,10 +150,14 @@ class RegionSlices:
     Offers the same ``I/Ip/Im/J/Jp/Jm`` attributes and :meth:`matvec`
     entry point a :class:`~repro.models.codegen.CodegenContext` supplies
     for the full interior, shifted to the region, so an op's ``sweep``
-    evaluates the identical per-cell ufuncs over a sub-slab.  The
-    stencil runs over 2-D slices, not a span: a left or right strip is
-    one column wide, and its span would cost about a row pitch of cells
-    per cell.  ``T0``-``T2`` are region-shaped views of the leading
+    evaluates the identical per-cell ufuncs over a sub-slab.  Here the
+    stencil runs over 2-D slices, which any memory order allows.  The
+    boundary strips use it, because a left or right strip is one column
+    wide and its span would cost about a row pitch of cells per cell;
+    so does the core of a port whose arrays
+    :func:`~repro.models.stencil.flat` refuses (a Kokkos ``Layout.LEFT``
+    port, whose column-major arrays have no row-major span short of a
+    copy of each).  ``T0``-``T2`` are region-shaped views of the leading
     cells of the context's scratch, contiguous like the whole-interior
     scratch.
     """
@@ -173,19 +192,53 @@ class RegionSlices:
         )
 
 
+class SpanSlices(RegionSlices):
+    """A core whose stencil runs over its span of the padded fields.
+
+    As the compiled whole-interior ``matvec`` does, every operand of
+    ``A v`` is a 1-D slice of a flattened field
+    (:func:`~repro.models.stencil.row_span` over the core's rows and
+    columns), so each ufunc streams contiguous memory.  ``T0``-``T2``
+    are the span-long heads of the context's scratch rows, and
+    :meth:`matvec` returns the pitched ``(rows, columns)`` view of the
+    first, which a sweep writes through the field's interior view.
+    """
+
+    __slots__ = ("pitch", "out")
+
+    def __init__(self, ctx: Any, region: Region) -> None:
+        super().__init__(ctx, region)
+        r0, r1, c0, c1 = region.r0, region.r1, region.c0, region.c1
+        _, length, self.at = row_span(ctx.h, ctx.nx, r0, r1, c0, c1)
+        self.T0, self.T1, self.T2 = (s[:length] for s in ctx.spans)
+        self.out = ctx.pitched[0][: r1 - r0, : c1 - c0]
+        self.pitch = ctx.pitch
+
+    def matvec(self, v: str) -> np.ndarray:
+        """``A v`` over the core's span, as the view ``out``."""
+        A, pitch = self.array, self.pitch
+        matvec_into(
+            flat(A(v), pitch), flat(A(F.KX), pitch), flat(A(F.KY), pitch),
+            self.at, self.T0, self.T1, self.T2,
+        )
+        return self.out
+
+
 def region_views(ctx: Any) -> tuple[RegionSlices | None, tuple[RegionSlices, ...]]:
     """The core and strip views of ``ctx``'s interior, built on first use.
 
-    The partition and the scratch views never change for a port, so they
-    are kept on its codegen context and every overlapped step reuses
-    them.
+    The core runs over its span (:class:`SpanSlices`) when the port's
+    arrays are C-contiguous rows of the context's pitch, over 2-D slices
+    otherwise; the strips always run over 2-D slices.  The partition and
+    the scratch views never change for a port, so they are kept on its
+    codegen context and every overlapped step reuses them.
     """
     if ctx.regions is None:
         core, strips = interior_partition(ctx.ny, ctx.nx, STENCIL_REACH)
-        ctx.regions = (
-            None if core is None else RegionSlices(ctx, core),
-            tuple(RegionSlices(ctx, strip) for strip in strips),
-        )
+        if core is not None:
+            span = flattens(ctx.array(F.KX), ctx.pitch)
+            core = (SpanSlices if span else RegionSlices)(ctx, core)
+        ctx.regions = (core, tuple(RegionSlices(ctx, s) for s in strips))
     return ctx.regions
 
 
@@ -384,22 +437,29 @@ def execute_overlap(
     stats: CommStats | None = None,
     plan_name: str = "",
 ) -> list:
-    """Run one OverlapStep: post exchange, sweep core, wait, sweep strips.
+    """Run one OverlapStep: post exchange, sweep cores, wait, sweep rings.
 
-    Execution order per chunk: the exchange for ``step.halo`` is posted
-    first (packing reads the pre-sweep edge values, exactly what the
-    non-overlapped ``HaloStep`` would send), every chunk's core is swept
-    while the messages are in flight, ``halo_wait`` completes delivery,
-    the boundary strips are swept against the fresh ghosts, and finally
-    the tails run over each chunk's whole interior with reduction
-    partials combined through ``port.overlap_reduce`` (the same
-    deterministic allreduce the interpreted dispatch uses).  A member
-    without a sweep is launched once over the whole interior, for its
-    tail.  Returns one result per member call, like ``dispatch_fused``.
+    The exchange for ``step.halo`` is posted first (packing reads the
+    pre-sweep edge values, exactly what the non-overlapped ``HaloStep``
+    would send).  Each chunk then launches twice under the body's own
+    launch, as OP2 runs a split parallel loop: its core, while the
+    messages are in flight, under ``step.core_spec``, which does not
+    reduce; and after ``halo_wait``, one boundary ring covering the four
+    strips, their cells summed, under ``step.spec``, which carries the
+    body's reduction.  A chunk without a core launches the ring alone.
+    The ring launch also finishes the member tails over the chunk's
+    whole interior, so a member without a sweep (a pure reduction) runs
+    there and launches nothing of its own.  Reduction partials are
+    combined through ``port.overlap_reduce``, the same deterministic
+    allreduce the interpreted dispatch uses.  Returns one result per
+    member call, like ``dispatch_fused``.
     """
     halo = step.halo
     calls = step.calls
     defs = [OP_DEFS[c.op] for c in calls]
+    sweeps = [
+        (d.sweep, args) for d, args in zip(defs, argv) if d.sweep is not None
+    ]
     chunks = []
     for cp in port.overlap_chunks():
         ctx = cp._codegen_ctx()
@@ -408,34 +468,29 @@ def execute_overlap(
     nbytes, messages = port.halo_wire_traffic(halo.names, halo.depth)
     token = port.halo_begin(halo.names, halo.depth)
 
-    interior_bytes = 0
+    name = step.spec.name
+    core_cells = 0
     for cp, ctx, core, strips in chunks:
         if core is None:
             continue
-        for call, d, args in zip(calls, defs, argv):
-            if d.sweep is None:
-                continue
-            spec = cp._launch(call.spec.kernel, cells=core.cells)
-            d.sweep(ctx, core, args)
-            interior_bytes += spec.bytes_for(core.cells)
+        cp._launch(name, cells=core.cells, spec=step.core_spec)
+        for sweep, args in sweeps:
+            sweep(ctx, core, args)
+        core_cells += core.cells
 
     port.halo_wait(token)
 
     for cp, ctx, core, strips in chunks:
+        cp._launch(name, cells=sum(S.cells for S in strips), spec=step.spec)
         for S in strips:
-            for call, d, args in zip(calls, defs, argv):
-                if d.sweep is None:
-                    continue
-                cp._launch(call.spec.kernel, cells=S.cells)
-                d.sweep(ctx, S, args)
+            for sweep, args in sweeps:
+                sweep(ctx, S, args)
 
     results = []
     for call, d, args in zip(calls, defs, argv):
         partials = []
         reduction = call.spec.reduction
         for cp, ctx, core, strips in chunks:
-            if d.sweep is None:
-                cp._launch(call.spec.kernel, cells=ctx.nx * ctx.ny)
             partials.append(d.tail(ctx, args))
             if reduction:
                 cp._reduction_epilogue(call.op)
@@ -448,6 +503,13 @@ def execute_overlap(
                 cp._mark_dirty(written)
 
     if stats is not None:
+        # The hidden share is priced from the members' own footprints
+        # over the cores, whatever launch they share.
+        interior_bytes = sum(
+            c.spec.spec().bytes_for(core_cells)
+            for c, d in zip(calls, defs)
+            if d.sweep is not None
+        )
         stats.record_overlap(
             plan_name,
             halo.names,

@@ -39,7 +39,7 @@ optimisation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.kernels import KERNELS, KernelSpec
@@ -340,14 +340,16 @@ class OverlapStep:
 
     Built by the overlap pass (``Plan.compiled(..., overlap=True)``)
     from an adjacent ``(HaloStep, KernelCall | FusedGroup)`` pair whose
-    dataflow :func:`~repro.models.overlap.overlap_reason` declares safe:
-    the exchange is posted, every chunk's core (cells whose stencil
-    cannot reach a ghost layer) is swept while the messages are in
-    flight, the wait completes delivery, the boundary strips sweep
-    against the fresh ghosts, and member tails (same-cell updates and
-    reductions) finish over the whole interior.  Results are
-    bitwise-identical to running the halo then the body — only the
-    exposed communication time changes.
+    dataflow :func:`~repro.models.overlap.overlap_reason` declares safe.
+    Each chunk launches twice under the body's own launch: the exchange
+    is posted, the chunk's core (cells whose stencil cannot reach a
+    ghost layer) is swept while the messages are in flight under
+    ``core_spec``, the wait completes delivery, and one boundary-ring
+    launch under ``spec`` sweeps the four strips against the fresh
+    ghosts and finishes the member tails (same-cell updates and
+    reductions) over the whole interior.  Results are bitwise-identical
+    to running the halo then the body; the exposed communication time
+    and one launch per chunk are all that change.
     """
 
     halo: HaloStep
@@ -355,14 +357,22 @@ class OverlapStep:
     calls: tuple[KernelCall, ...] = field(init=False, compare=False)
     has_binds: bool = field(init=False, compare=False)
     argv: tuple[tuple[Any, ...], ...] = field(init=False, compare=False)
+    #: The body's own launch (the call's ``KERNELS`` entry or the
+    #: group's spec), under which the boundary ring runs and reduces.
+    spec: KernelSpec = field(init=False, repr=False, compare=False)
+    #: ``spec`` without its reduction: the core traversal's launch.
+    core_spec: KernelSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        calls = (
-            self.body.calls
-            if isinstance(self.body, FusedGroup)
-            else (self.body,)
-        )
+        if isinstance(self.body, FusedGroup):
+            calls, spec = self.body.calls, self.body.spec
+        else:
+            calls, spec = (self.body,), self.body.spec.spec()
         object.__setattr__(self, "calls", calls)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(
+            self, "core_spec", replace(spec, has_reduction=False)
+        )
         object.__setattr__(
             self,
             "has_binds",
@@ -1124,15 +1134,18 @@ class PlanExecutor:
         self.poison_after: dict[str, tuple[str, ...]] = {}
 
     def poison(self, names: Sequence[str]) -> None:
-        """NaN-fill ``names`` in the port's own device arrays.
+        """NaN-fill ``names`` in the device arrays of every chunk.
 
         Used at a field's death point: any later read before the next
         definition surfaces as a non-finite guard failure instead of a
-        silently stale value.  The host mirrors of the poisoned fields
-        are dropped, exactly as for a checkpoint restore.
+        silently stale value.  The arrays are those the kernels use on
+        each of ``port.overlap_chunks()`` (the port itself, or the
+        chunk ports of a decomposed one).  The host mirrors of the
+        poisoned fields are dropped, exactly as for a checkpoint restore.
         """
-        for name in names:
-            self.port._device_array(name).fill(math.nan)
+        for chunk in self.port.overlap_chunks():
+            for name in names:
+                chunk._device_array(name).fill(math.nan)
         self.port.invalidate_residency(names)
 
     def _halo_cost(self, names: tuple, depth: int) -> float:

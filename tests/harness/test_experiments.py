@@ -23,7 +23,17 @@ def results():
 
 class TestAllChecksPass:
     @pytest.mark.parametrize(
-        "eid", ["table1", "table2", "fig8", "fig9", "fig10", "fig11", "fig12"]
+        "eid",
+        [
+            "table1",
+            "table2",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "fig12",
+            "halo_overlap",
+        ],
     )
     def test_experiment_checks(self, results, eid):
         r = results[eid]

@@ -16,7 +16,8 @@ the launch to the port's trace, which grows on its own schedule.
 ``tea_leaf_init`` and ``set_field`` run once per timestep and are left out.
 The ops the overlap executor splits are also pinned phase by phase: the
 ``sweep`` over the interior core, as it runs while an exchange is in
-flight, and the ``tail`` over the whole interior.
+flight, over 2-D slices and over the core's span, and the ``tail`` over
+the whole interior.
 """
 
 import tracemalloc
@@ -28,7 +29,7 @@ from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.models import codegen
-from repro.models.overlap import RegionSlices, interior_partition
+from repro.models.overlap import RegionSlices, SpanSlices, interior_partition
 from repro.models.plan import KernelCall
 
 #: Per-iteration ops with arguments that make each body run for real.
@@ -109,15 +110,20 @@ def test_warm_call_peaks_below_one_interior_array(warm_ctx, call):
     assert peak < 1.0, f"{call.op} peaked at {peak:.2f} interior arrays"
 
 
-@pytest.mark.parametrize("phase", ["sweep", "tail"])
+#: ``sweep`` over the core's 2-D slices, ``span_sweep`` over its span.
+CORE_VIEWS = {"sweep": RegionSlices, "span_sweep": SpanSlices}
+
+
+@pytest.mark.parametrize("phase", ["sweep", "span_sweep", "tail"])
 @pytest.mark.parametrize("call", SPLIT, ids=lambda c: c.op)
 def test_warm_overlap_phase_peaks_below_one_interior_array(
     warm_ctx, call, phase
 ):
     ctx = warm_ctx
     d = codegen.OP_DEFS[call.op]
-    if phase == "sweep":
-        core = RegionSlices(ctx, interior_partition(ctx.ny, ctx.nx, 1)[0])
+    if phase in CORE_VIEWS:
+        region = interior_partition(ctx.ny, ctx.nx, 1)[0]
+        core = CORE_VIEWS[phase](ctx, region)
         run = lambda: d.sweep(ctx, core, call.args)  # noqa: E731
     else:
         run = lambda: d.tail(ctx, call.args)  # noqa: E731

@@ -2,12 +2,14 @@
 
 Pins the pieces the bitwise equivalence suite builds on: the
 interior/boundary partition covers every cell exactly once, region
-slices reproduce whole-interior sweeps bit for bit, the legality pass
-refuses the WAR and phase hazards (and only those), and fallbacks are
-recorded instead of silently dropped.
+slices reproduce whole-interior sweeps bit for bit (the core over its
+span wherever ``stencil.flat`` accepts the arrays, 2-D slices
+elsewhere), the legality pass refuses the WAR and phase hazards (and
+only those), and fallbacks are recorded instead of silently dropped.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from repro.models.base import make_port
 from repro.models.overlap import (
     CommStats,
     RegionSlices,
+    SpanSlices,
     interior_partition,
     overlap_reason,
+    region_views,
 )
 from repro.models.plan import (
     HaloStep,
@@ -246,3 +250,102 @@ def test_region_views_are_built_once_per_chunk(monkeypatch):
     assert result.comm["overlap_steps"] >= 10
     assert len(built) == 5 * 4
     assert all(chunk._codegen_ctx().regions is not None for chunk in port.ports)
+
+
+# --------------------------------------------------------------------- #
+# the core over its span
+# --------------------------------------------------------------------- #
+def _warm_port(port, n):
+    """``port`` with kx/ky built and random values in every work field."""
+    init = KernelCall("tea_leaf_init", (0.004, "conductivity"))
+    step = codegen.lower_steps([init])[0]
+    rng = np.random.default_rng(n)
+    for name in (F.DENSITY, F.ENERGY1, F.P, F.R, F.W, F.Z, F.SD, F.U, F.U0):
+        port.write_field(name, rng.random(port.grid.shape) + 0.5)
+    ctx = port._codegen_ctx()
+    step.fn(ctx, step.argv)
+    return ctx
+
+
+#: Each split op's sweep, with arguments that make it run for real.
+SWEEPS = [
+    KernelCall("tea_leaf_residual"),
+    KernelCall("cg_calc_w"),
+    KernelCall("cheby_iterate", (0.5, 0.25)),
+    KernelCall("ppcg_precon_inner", (0.5, 0.25)),
+]
+
+
+class TestSpanCore:
+    def test_core_spans_and_strips_stay_2d(self):
+        deck = default_deck(n=24, end_step=1)
+        ctx = make_port("openmp-f90", deck.grid())._codegen_ctx()
+        core, strips = region_views(ctx)
+        assert type(core) is SpanSlices
+        assert {type(S) for S in strips} == {RegionSlices}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ny=st.integers(min_value=3, max_value=20),
+        nx=st.integers(min_value=3, max_value=20),
+        call=st.sampled_from(SWEEPS),
+    )
+    def test_span_core_sweep_is_the_2d_core_sweep(self, ny, nx, call):
+        """Every split op's sweep over the core's span writes the bits
+        of the same sweep over the core's 2-D slices, and nothing else."""
+        grid = Grid2D(nx, ny)
+        out = {}
+        for cls in (SpanSlices, RegionSlices):
+            port = make_port("openmp-f90", grid)
+            ctx = _warm_port(port, ny * 100 + nx)
+            core = cls(ctx, interior_partition(ny, nx, 1)[0])
+            codegen.OP_DEFS[call.op].sweep(ctx, core, call.args)
+            out[cls] = {n: ctx.array(n).copy() for n in F.FIELD_ORDER}
+        for name in F.FIELD_ORDER:
+            np.testing.assert_array_equal(
+                out[SpanSlices][name], out[RegionSlices][name], err_msg=name
+            )
+
+
+class TestLayoutLeftOverlap:
+    """A Kokkos ``Layout.LEFT`` port stores column-major views, which
+    ``stencil.flat`` refuses, so its core keeps 2-D slices."""
+
+    def _port(self, grid):
+        from repro.models.kokkos import Layout
+        from repro.models.kokkos_port import KokkosPort
+
+        return KokkosPort(grid, layout=Layout.LEFT)
+
+    def test_runs_without_fallback_and_matches_the_plain_run(self):
+        deck = default_deck(n=24, solver="cg", end_step=2)
+        plain = TeaLeaf(deck, port=self._port(deck.grid()))
+        plain.run()
+        app = TeaLeaf(
+            dataclasses.replace(deck, tl_overlap=True),
+            port=self._port(deck.grid()),
+        )
+        result = app.run()
+        assert result.fallbacks == []
+        assert result.comm["overlap_steps"] > 0
+        np.testing.assert_array_equal(app.field(F.U), plain.field(F.U))
+        core, _ = region_views(app.port._codegen_ctx())
+        assert type(core) is RegionSlices
+
+    @pytest.mark.parametrize("call", SWEEPS, ids=lambda c: c.op)
+    def test_core_sweep_allocates_less_than_one_interior_array(self, call):
+        """NumPy buffers a column-major operand in fixed 8192-cell
+        blocks, so the bound holds at 256²; flattening the padded
+        arrays would copy each of them whole."""
+        n = 256
+        ctx = _warm_port(self._port(Grid2D(n, n)), n)
+        core, _ = region_views(ctx)
+        sweep = codegen.OP_DEFS[call.op].sweep
+        sweep(ctx, core, call.args)
+        tracemalloc.start()
+        try:
+            sweep(ctx, core, call.args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, f"{call.op} core sweep peaked at {peak} bytes"

@@ -7,10 +7,18 @@ must be bit-identical to the synchronous plan on every registered port,
 under every combination of fusion, codegen and resilience, and on the
 decomposed multi-chunk ensemble (including under comm-level fault
 injection, where the retried exchange repacks from unmutated bodies).
+
+The traces are pinned against the synchronous run too.  An overlapped
+step launches twice per chunk, a core that does not reduce and one
+boundary ring that carries the body's reduction, so an overlapped run
+has the synchronous run's reducing launches, reduction passes and
+transfers, and on an unfused run exactly one launch more per chunk per
+overlapped step (one offload region more on the data-region ports).
 """
 
 import dataclasses
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +29,8 @@ from repro.core import fields as F
 from repro.core.deck import default_deck, parse_deck_file
 from repro.core.driver import TeaLeaf
 from repro.models.base import available_models
+from repro.models.plan import FusedGroup, KernelCall
+from repro.models.tracing import EventKind
 
 DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
 
@@ -32,6 +42,17 @@ def _deck(**overrides):
     )
 
 
+#: Ports whose every launch inside the solve is one offload region.
+REGION_MODELS = {"openmp4", "openmp45", "openacc"}
+
+
+def _events(trace):
+    """Event counts by kind, plus ``"reducing"`` kernel launches."""
+    counts = Counter(e.kind for e in trace.events)
+    counts["reducing"] = trace.reduction_count()
+    return counts
+
+
 def _capture(app, result):
     return {
         "u": app.field(F.U)[app.grid.inner()].copy(),
@@ -41,7 +62,31 @@ def _capture(app, result):
             result.resilience.injections if result.resilience else None
         ),
         "fallbacks": result.fallbacks,
+        "events": _events(result.trace),
+        "overlap_steps": result.comm["overlap_steps"],
+        "fused": app.executor.fuse,
     }
+
+
+def assert_overlap_trace(ref, over, chunks, regions=False):
+    """The overlapped run's trace against the synchronous run's.
+
+    Reducing launches, reduction passes and transfers are equal: only
+    each boundary ring reduces.  On an unfused run the overlapped one
+    has exactly one launch more per chunk per overlapped step, and so
+    many more offload regions when every launch is one (``regions``).
+    """
+    for key in ("reducing", EventKind.REDUCTION_PASS, EventKind.TRANSFER):
+        assert over["events"][key] == ref["events"][key], key
+    if ref["fused"]:
+        return
+    extra = over["overlap_steps"] * chunks
+    assert extra > 0
+    for kind, more in (
+        (EventKind.KERNEL, extra),
+        (EventKind.REGION, extra if regions else 0),
+    ):
+        assert over["events"][kind] - ref["events"][kind] == more, kind
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +131,16 @@ class TestOverlapAllModels:
         for model, (_, over) in overlap_runs.items():
             assert over["fallbacks"] == [], model
 
+    def test_traces_add_one_launch_per_overlapped_step(self, overlap_runs):
+        """Fused ports compare reductions, passes and transfers; the
+        data-region ports, which do not fuse, compare launches and
+        regions too."""
+        assert {m for m, (ref, _) in overlap_runs.items() if not ref["fused"]} == (
+            REGION_MODELS
+        )
+        for model, (ref, over) in overlap_runs.items():
+            assert_overlap_trace(ref, over, 1, regions=model in REGION_MODELS)
+
 
 class TestOverlapFlagMatrix:
     """All 16 combinations of (overlap, fuse, codegen, resilient) on the
@@ -128,6 +183,26 @@ class TestOverlapDecomposed:
         assert over["per_step"] == ref["per_step"]
         assert over["summary"] == ref["summary"]
         assert comm["overlap_steps"] > 0 and comm["hidden_ms"] > 0.0
+        assert_overlap_trace(ref, over, nranks)
+
+    def test_heterogeneous_chunks(self):
+        """Chunks on four models, two of which finish their reductions
+        on the host: the partials passes and read-backs of the boundary
+        rings are the synchronous run's."""
+        models = ["cuda", "openmp-f90", "kokkos", "opencl"]
+
+        def run(overlap):
+            deck = _deck(tl_overlap=overlap)
+            port = MultiChunkPort(deck.grid(), nranks=4, model=models)
+            app = TeaLeaf(deck, port=port)
+            return _capture(app, app.run())
+
+        ref, over = run(False), run(True)
+        np.testing.assert_array_equal(over["u"], ref["u"])
+        assert over["summary"] == ref["summary"]
+        assert ref["events"][EventKind.REDUCTION_PASS] > 0
+        assert ref["events"][EventKind.TRANSFER] > 0
+        assert_overlap_trace(ref, over, 4)
 
     def test_multichunk_with_comm_faults(self):
         """Drop/delay injection on the in-flight exchange: the retry
@@ -154,10 +229,10 @@ class TestOverlapDecomposed:
 #: Per solver: the plans whose exchange an overlap-on run hides, and the
 #: single-chunk kernel launch count of that run (unfused, fused).
 SOLVER_OVERLAP = {
-    "cg": ({"cg_iter_head"}, (506, 504)),
-    "chebyshev": ({"cg_iter_head", "cheby_step"}, (580, 578)),
-    "ppcg": ({"cg_iter_head", "ppcg_precon(10)", "ppcg_restart"}, (484, 482)),
-    "jacobi": ({"jacobi_residual"}, (524, 522)),
+    "cg": ({"cg_iter_head"}, (320, 318)),
+    "chebyshev": ({"cg_iter_head", "cheby_step"}, (340, 338)),
+    "ppcg": ({"cg_iter_head", "ppcg_precon(10)", "ppcg_restart"}, (292, 290)),
+    "jacobi": ({"jacobi_residual"}, (518, 514)),
 }
 
 
@@ -204,3 +279,28 @@ class TestOverlapEverySolver:
         assert overlapped == sites
         if nranks == 1:
             assert result.trace.kernel_launches() == launches[fuse]
+        assert_overlap_trace(ref, over, nranks)
+
+
+def test_fused_overlap_step_launches_core_then_reducing_ring():
+    """Jacobi's fused ``tea_leaf_residual + norm2_field`` head on one
+    chunk: each overlapped step traces exactly two launches under the
+    group's own spec, the core's without the reduction and the boundary
+    ring's with it."""
+    group = FusedGroup(
+        (KernelCall("tea_leaf_residual"), KernelCall("norm2_field", (F.R,)))
+    )
+    deck = dataclasses.replace(
+        default_deck(n=48, solver="jacobi", end_step=2),
+        tl_overlap=True,
+        tl_fuse_kernels=True,
+    )
+    result = TeaLeaf(deck, model="openmp-f90").run()
+    launches = [
+        (e.cells, e.has_reduction)
+        for e in result.trace.events
+        if e.kind is EventKind.KERNEL and e.name == group.spec.name
+    ]
+    steps = result.comm["overlap_steps"]
+    assert steps == 2
+    assert launches == [(46 * 46, False), (48 * 48 - 46 * 46, True)] * steps

@@ -10,6 +10,7 @@ moment a kernel reads a field the liveness pass declared dead.
 """
 
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from repro.core import fields as F
 from repro.core.deck import default_deck, parse_deck_file
 from repro.core.driver import TeaLeaf, deck_liveness
 from repro.models.base import available_models
-from repro.models.tracing import EventKind, Trace
-from repro.util.errors import CorruptionError, DeckError
+from repro.models.tracing import EventKind
+from repro.util.errors import CommError, CorruptionError, DeckError
 
 DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
 
@@ -206,18 +207,56 @@ def test_poison_catches_a_stale_read(model, codegen):
         app.run()
 
 
-def test_poison_falls_back_loudly_on_decomposed_port():
-    """A decomposed port keeps each field per chunk, so it has no single
-    array to poison: the flag is recorded as a fallback naming the port's
-    own model, never dropped silently."""
-    deck = dataclasses.replace(
-        default_deck(n=16, end_step=1), tl_poison_dead_fields=True
+def test_poison_runs_on_every_chunk_of_a_decomposed_port():
+    """A decomposed port keeps each field per chunk: poison fills every
+    chunk's arrays, records no fallback and changes no bit of u."""
+
+    def run(poison):
+        deck = dataclasses.replace(
+            default_deck(n=32, end_step=2),
+            tl_preconditioner_type="jac_diag",
+            tl_poison_dead_fields=poison,
+        )
+        port = MultiChunkPort(deck.grid(), 2, model="openmp-f90")
+        app = TeaLeaf(deck, port=port)
+        return app, app.run()
+
+    (base_app, _), (app, result) = run(False), run(True)
+    assert result.fallbacks == []
+    assert np.array_equal(base_app.field(F.U), app.field(F.U))
+    assert all(
+        np.isnan(chunk._device_array(F.Z)).all() for chunk in app.port.ports
     )
-    trace = Trace()
-    port = MultiChunkPort(deck.grid(), 2, model="openmp-f90", trace=trace)
-    result = TeaLeaf(deck, port=port, trace=trace).run()
-    messages = [m for m in result.fallbacks if "tl_poison_dead_fields" in m]
-    assert len(messages) == 1 and "'openmp-f90+mpi(2)'" in messages[0]
+
+
+def test_poison_catches_a_stale_read_on_a_decomposed_port():
+    """The wrong release schedule of :func:`test_poison_catches_a_stale_read`
+    on two ranks: the allreduce of ``p.w`` sees rank 0's NaN partial."""
+    deck = dataclasses.replace(parse_deck_file(DECK), tl_poison_dead_fields=True)
+    port = MultiChunkPort(deck.grid(), 2, model="openmp-f90")
+    app = TeaLeaf(deck, port=port)
+    app.executor.poison_after = {"cg_iter_tail": (F.P,)}
+    with pytest.raises(CommError, match="non-finite partial nan from rank 0"):
+        app.run()
+
+
+def test_poison_on_a_layout_left_port_keeps_the_golden_hash():
+    """Column-major Kokkos views refuse codegen, but poison fills them
+    like any other port's arrays."""
+    from repro.models.kokkos import Layout
+    from repro.models.kokkos_port import KokkosPort
+
+    deck = dataclasses.replace(
+        parse_deck_file(DECK),
+        tl_preconditioner_type="jac_diag",
+        tl_poison_dead_fields=True,
+    )
+    app = TeaLeaf(deck, port=KokkosPort(deck.grid(), layout=Layout.LEFT))
+    result = app.run()
+    assert result.fallbacks == []
+    assert app.executor.poison_after
+    sha = hashlib.sha256(app.field(F.U).tobytes()).hexdigest()[:16]
+    assert sha == "b6dc591ad1a00bda"
 
 
 class TestLiveness:
