@@ -164,6 +164,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.driver import solve_step_plans
     from repro.core.solvers import solver_plan_fragments
     from repro.models.base import make_port
+    from repro.models.plan import PlanExecutor
     from repro.models.tracing import Trace
 
     deck = default_deck(n=args.mesh, solver=args.solver, end_step=1)
@@ -180,34 +181,31 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    port = make_port(args.model, deck.grid(), Trace())
-    fuse = args.fuse and port.supports_fusion
-    if args.fuse and not fuse:
-        print(f"# model {args.model} does not support fusion; showing unfused")
+    executor = PlanExecutor(
+        make_port(args.model, deck.grid(), Trace()),
+        fuse=args.fuse,
+        codegen=args.codegen,
+        overlap=args.overlap,
+    )
+    for message in executor.fallbacks:
+        print(f"# {message}")
     instrument = bool(getattr(args, "resilient", False))
-    codegen = bool(getattr(args, "codegen", False)) and port.supports_codegen
-    overlap = bool(getattr(args, "overlap", False)) and port.supports_overlap
-    if getattr(args, "overlap", False) and not overlap:
-        print(
-            f"# model {args.model} does not support overlap; "
-            f"showing synchronous exchanges"
-        )
     header = f"# model={args.model} solver={deck.solver} mesh={args.mesh}"
     if instrument:
         header += " resilience-instrumented"
-    if codegen:
+    if executor.codegen:
         header += " codegen"
-    if overlap:
+    if executor.overlap:
         header += " overlap"
     print(header)
     prologue, epilogue = solve_step_plans(deck.grid().halo)
     for p in [prologue, *fragments, epilogue]:
         print(
             p.describe(
-                fuse=fuse,
+                fuse=executor.fuse,
                 instrument=instrument,
-                codegen=codegen,
-                overlap=overlap,
+                codegen=executor.codegen,
+                overlap=executor.overlap,
             )
         )
         print()
@@ -761,7 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiments", help="regenerate the paper's tables/figures")
     exp.add_argument(
         "--id",
-        help="one experiment (table1, table2, fig8..fig12, rank_resilience)",
+        help="one experiment (table1, table2, fig8, fig9, fig10, fig11, "
+        "fig12, rank_resilience, codegen_speedup, halo_overlap)",
     )
     exp.add_argument("--quick", action="store_true", help="smaller projected meshes")
     exp.add_argument("--write", nargs="?", const="EXPERIMENTS.md", default=None,

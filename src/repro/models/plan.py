@@ -1083,10 +1083,11 @@ class PlanExecutor:
     into the manager — feeding incremental checkpoints and scalar-state
     capture.  Without one, the disabled path pays exactly nothing.
 
-    A flag a port cannot honour (``codegen`` on a decomposed port,
-    ``overlap`` on a proxy that intercepts public kernel calls) is not
-    silently dropped: the degradation is recorded in :attr:`fallbacks`
-    so the driver can warn and the run report can show it.
+    A flag a port cannot honour (``fuse`` on a port without fused
+    dispatch, ``codegen`` on a decomposed port, ``overlap`` on a proxy
+    that intercepts public kernel calls) is not silently dropped: the
+    degradation is recorded in :attr:`fallbacks` so the driver can warn
+    and the run report can show it.
     """
 
     def __init__(
@@ -1098,10 +1099,16 @@ class PlanExecutor:
         overlap: bool = False,
     ) -> None:
         self.port = port
-        self.fuse = bool(fuse) and getattr(port, "supports_fusion", False)
         self.resilience = resilience
         #: Requested-but-unsupported flag degradations, in request order.
         self.fallbacks: list[str] = []
+        self.fuse = bool(fuse) and getattr(port, "supports_fusion", False)
+        if fuse and not self.fuse:
+            self.fallbacks.append(
+                f"fuse requested but port "
+                f"'{getattr(port, 'model_name', '?')}' does not support it "
+                f"(supports_fusion=False); running unfused kernels"
+            )
         self.codegen = bool(codegen) and getattr(port, "supports_codegen", False)
         if codegen and not self.codegen:
             self.fallbacks.append(

@@ -164,7 +164,9 @@ class TestEndToEndIncremental:
     def test_resilient_run_copies_at_most_half_the_bytes(self):
         """On the benchmark solvers the per-interval dirty set is a small
         subset of the checkpoint fields: coefficients, densities and
-        energies are static within a solve."""
+        energies are static within a solve.  The copied share read 0.30
+        (CG) and 0.32 (PPCG) on the benchmark deck, and 0.30 for both
+        here; 0.32 bounds both."""
         for solver in ("cg", "ppcg"):
             deck = dataclasses.replace(
                 default_deck(n=32, solver=solver, end_step=2, eps=1e-10),
@@ -175,7 +177,7 @@ class TestEndToEndIncremental:
             ck = app.resilience.checkpoints
             assert ck.periodic_bytes_full > 0, solver
             assert (
-                ck.periodic_bytes_copied <= 0.5 * ck.periodic_bytes_full
+                ck.periodic_bytes_copied <= 0.32 * ck.periodic_bytes_full
             ), solver
 
     def test_rollback_journal_reset_keeps_recovery_exact(self):

@@ -1,8 +1,10 @@
-"""The seven experiments in quick mode: structure and paper checks.
+"""Every registered experiment in quick mode: structure and paper checks.
 
 The experiment functions are cached per scale by ``projected_runtime``, so
 this module's fixtures share work across tests.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from repro.harness.experiments import (
 )
 from repro.harness import paper_data as paper
 from repro.models.base import DeviceKind
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +53,44 @@ class TestAllChecksPass:
         for r in results.values():
             assert len(r.rendered) > 50
 
+    def test_experiments_md_lists_every_check(self, results):
+        """The committed EXPERIMENTS.md has a section per registered
+        experiment listing exactly the checks it makes now, with the same
+        status.  Numbers are not compared: Chebyshev's eigenvalue solve
+        goes through LAPACK, so printed digits can differ between hosts.
+        Regenerate with ``python -m repro experiments --quick --write``."""
+        sections = {}
+        for chunk in EXPERIMENTS_MD.read_text().split("\n## ")[1:]:
+            title, _, body = chunk.partition("\n")
+            sections[title] = [
+                line for line in body.splitlines()
+                if line.startswith(("[PASS] ", "[FAIL] "))
+            ]
+        for eid, r in results.items():
+            assert r.title in sections, f"EXPERIMENTS.md has no '## {r.title}'"
+            lines = sections[r.title]
+            assert len(lines) == len(r.checks), eid
+            for line, c in zip(lines, r.checks):
+                status = "PASS" if c.passed else "FAIL"
+                assert line.startswith(f"[{status}] {c.name}: "), (eid, line)
+
 
 class TestFigureContents:
+    def test_table1_checks_every_model_device_cell(self, results):
+        """All 7 models x 3 devices are verified against the published
+        matrix."""
+        assert len(results["table1"].checks) == 21
+
     def test_fig8_models(self, results):
         seconds = results["fig8"].data["seconds"]
+        assert len(seconds) == len(paper.FIG8_MODELS) * len(SOLVERS)
         for model in paper.FIG8_MODELS:
             for solver in SOLVERS:
                 assert f"{model}/{solver}" in seconds
+
+    def test_fig8_reports_the_opencl_variance_band(self, results):
+        """§4.1: the 1631s..2813s OpenCL band is shown beside the bars."""
+        assert "1631" in results["fig8"].rendered
 
     def test_fig9_cuda_is_floor(self, results):
         seconds = results["fig9"].data["seconds"]
@@ -74,14 +109,47 @@ class TestFigureContents:
         assert seconds["opencl/cg"] > seconds["openmp4/cg"]
         assert seconds["opencl/cg"] > seconds["kokkos-hp/cg"]
 
+    def test_fig10_every_model_acceptable_on_some_solver(self, results):
+        """The paper's overall conclusion: every model is within ~2.2x of
+        native F90 on its best solver."""
+        seconds = results["fig10"].data["seconds"]
+        for model in {key.split("/")[0] for key in seconds}:
+            best_ratio = min(
+                seconds[f"{model}/{s}"] / seconds[f"openmp-f90/{s}"] for s in SOLVERS
+            )
+            assert best_ratio < 2.3, (model, best_ratio)
+
     def test_fig11_series_monotone(self, results):
         data = results["fig11"].data
+        assert len(data["meshes"]) >= 3
         for label, series in data["series"].items():
-            assert series == sorted(series), label
+            assert all(b > a for a, b in zip(series, series[1:])), label
+
+    def test_fig11_offload_intercept_shrinks_with_mesh(self, results):
+        """openmp4@knc is far slower relative to the native baseline at
+        the smallest mesh than at the largest."""
+        series = results["fig11"].data["series"]
+        rel_small = series["openmp4@knc"][0] / series["openmp-f90@knc"][0]
+        rel_large = series["openmp4@knc"][-1] / series["openmp-f90@knc"][-1]
+        assert rel_small > rel_large
 
     def test_fig12_fractions_bounded(self, results):
         for label, frac in results["fig12"].data["fractions"].items():
             assert 0.0 < frac < 1.0, label
+
+    def test_fig12_most_portable_options_near_the_best(self, results):
+        """§6: at least half of the CPU/GPU options are within 20 % of
+        their device's best, and the KNC numbers are poor across the
+        board."""
+        fractions = results["fig12"].data["fractions"]
+        for device in ("cpu", "gpu"):
+            device_fracs = [v for k, v in fractions.items() if k.endswith(device)]
+            best = max(device_fracs)
+            within = sum(1 for v in device_fracs if v >= best * 0.80)
+            assert within / len(device_fracs) >= 0.5, device
+        knc_best = max(v for k, v in fractions.items() if k.endswith("knc"))
+        cpu_gpu_worst = min(v for k, v in fractions.items() if not k.endswith("knc"))
+        assert knc_best < cpu_gpu_worst + 0.15
 
 
 class TestRuntimeProjection:

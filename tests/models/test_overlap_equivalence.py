@@ -65,6 +65,7 @@ def _capture(app, result):
         "events": _events(result.trace),
         "overlap_steps": result.comm["overlap_steps"],
         "fused": app.executor.fuse,
+        "supports_fusion": app.port.supports_fusion,
     }
 
 
@@ -128,8 +129,15 @@ class TestOverlapAllModels:
             assert over["injections"] == ref["injections"] == 1, model
 
     def test_no_fallbacks_on_host_ports(self, overlap_runs):
+        """Overlap and codegen apply everywhere; the one fallback is the
+        fuse refusal of a port that cannot fuse."""
         for model, (_, over) in overlap_runs.items():
-            assert over["fallbacks"] == [], model
+            refusal = (
+                f"fuse requested but port '{model}' does not support it "
+                f"(supports_fusion=False); running unfused kernels"
+            )
+            expected = [] if over["supports_fusion"] else [refusal]
+            assert over["fallbacks"] == expected, model
 
     def test_traces_add_one_launch_per_overlapped_step(self, overlap_runs):
         """Fused ports compare reductions, passes and transfers; the

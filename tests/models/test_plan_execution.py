@@ -20,7 +20,8 @@ from repro.comm.multichunk import MultiChunkPort
 from repro.core import fields as F
 from repro.core.deck import default_deck, parse_deck_file
 from repro.core.driver import TeaLeaf, deck_liveness
-from repro.models.base import available_models
+from repro.harness.numdiff import LockstepPort
+from repro.models.base import available_models, make_port
 from repro.models.tracing import EventKind
 from repro.util.errors import CommError, CorruptionError, DeckError
 
@@ -53,6 +54,14 @@ def observables(app, result):
 
 def transfer_count(trace):
     return sum(1 for e in trace.events if e.kind == EventKind.TRANSFER)
+
+
+def fuse_refusal(model_name):
+    """The fallback a fuse deck records on a port that cannot fuse."""
+    return (
+        f"fuse requested but port '{model_name}' does not support it "
+        f"(supports_fusion=False); running unfused kernels"
+    )
 
 
 @pytest.mark.parametrize("model", FUSING_MODELS)
@@ -167,13 +176,39 @@ def test_poison_is_bitwise_invisible(model, setup):
     base_app, base = small_run(model, setup)
     for flags in POISON_FLAG_SETS:
         app, result = small_run(model, setup, tl_poison_dead_fields=True, **flags)
-        assert result.fallbacks == []
+        refused = flags.get("tl_fuse_kernels") and not app.port.supports_fusion
+        assert result.fallbacks == ([fuse_refusal(model)] if refused else [])
         assert np.array_equal(base_app.field(F.U), app.field(F.U))
         assert observables(base_app, base)[1:] == observables(app, result)[1:]
         # The poison really ran: some dead work field still holds NaN.
         assert any(
             np.isnan(app.port.read_field(name)).all() for name in F.FIELD_ORDER
         ), flags
+
+
+#: Every registered model, plus the two wrapper ports that dispatch
+#: through ``Port.dispatch``: a 2-rank decomposed port and numdiff's
+#: lockstep facade.
+FUSE_PORTS = {
+    **{m: (lambda grid, m=m: make_port(m, grid)) for m in available_models()},
+    "multichunk-2": lambda grid: MultiChunkPort(grid, 2, model="openmp-f90"),
+    "lockstep": lambda grid: LockstepPort(
+        grid,
+        reference=make_port("openmp-f90", grid),
+        candidate=make_port("kokkos", grid),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSE_PORTS))
+def test_unhonoured_fuse_is_recorded(name):
+    """A fuse deck records exactly one refusal on a port that cannot
+    fuse, and nothing on a port that can."""
+    deck = dataclasses.replace(default_deck(n=16, end_step=1), tl_fuse_kernels=True)
+    port = FUSE_PORTS[name](deck.grid())
+    result = TeaLeaf(deck, port=port).run()
+    expected = [] if port.supports_fusion else [fuse_refusal(port.model_name)]
+    assert result.fallbacks == expected
 
 
 def test_poison_composes_with_codegen_fusion_residency():

@@ -1,10 +1,12 @@
 """The command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness import EXPERIMENTS
 
 
 class TestRun:
@@ -65,6 +67,24 @@ class TestExperiments:
         assert rc == 0
         assert target.exists()
         assert "Table 2" in target.read_text()
+
+    def test_id_help_names_every_experiment(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiments", "--help"])
+        words = set(re.findall(r"\w+", capsys.readouterr().out))
+        assert set(EXPERIMENTS) <= words
+
+
+class TestPlan:
+    def test_unhonoured_fuse_is_printed_and_plans_stay_unfused(self, capsys):
+        rc = main(["plan", "--model", "openmp4", "--fuse", "--mesh", "8"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "# fuse requested but port 'openmp4' does not support it "
+            "(supports_fusion=False); running unfused kernels\n"
+        )
+        assert "(fuse=off)" in out and "fuse=on" not in out
 
 
 class TestProject:
