@@ -392,12 +392,8 @@ class MultiChunkPort(Port):
         return (nbytes * n, messages * n)
 
     def _neighbour(self, window: ChunkWindow, side: Side) -> int | None:
-        return {
-            Side.LEFT: window.left,
-            Side.RIGHT: window.right,
-            Side.DOWN: window.down,
-            Side.UP: window.up,
-        }[side]
+        # Each Side's value names the ChunkWindow field holding that neighbour.
+        return getattr(window, side.value)
 
     def _exchange_axis(self, name: str, depth: int, lo: Side, hi: Side) -> None:
         """One axis of exchange: post all sends, then receive/unpack."""

@@ -16,13 +16,15 @@ All bodies take raw arrays plus the halo depth ``h`` and interior width
 ``nx``.  Reach contract: a body reads only rows ``[h+r0-1, h+r1]`` and
 writes only the slab's interior cells (rows ``[h+r0, h+r1)`` by columns
 ``[h, h+nx)``), which is what makes the static row decomposition
-race-free.  Within those rows the stencil may read any column:
-:func:`matvec_slab` runs over the slab's span
-(:func:`~repro.models.stencil.row_span`), whose gap cells between rows
-read the halo columns and corners, into scratch of its own, and keeps
-only the interior cells.  Update kernels that read neighbour values of an
-array they also write are split into two sweeps (matvec sweep, then axpy
-sweep), mirroring the reference kernels.
+race-free.  It is also what lets
+:class:`~repro.models.openmp.OpenMPRuntime` run a whole team as the one
+slab ``[0, ny)``: the per-thread chunks give the same bits in any order.
+Within those rows the stencil may read any column: :func:`matvec_slab`
+runs over the slab's span (:func:`~repro.models.stencil.row_span`), whose
+gap cells between rows read the halo columns and corners, into scratch
+of its own, and keeps only the interior cells.  Update kernels that read
+neighbour values of an array they also write are split into two sweeps
+(matvec sweep, then axpy sweep), mirroring the reference kernels.
 """
 
 from __future__ import annotations

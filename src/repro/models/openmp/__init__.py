@@ -3,9 +3,9 @@
 
 The runtime mimics OpenMP's execution semantics — static scheduling of
 contiguous iteration chunks across a thread team, per-thread partial
-reductions combined at the join — while executing each chunk as vectorised
-NumPy (the Python analogue of what the compiler's vectoriser does inside
-each thread).
+reductions combined at the join — while executing the whole team as one
+vectorised NumPy slab, which the loop bodies' reach contract makes bitwise
+the per-thread schedule (see :mod:`repro.models.openmp.runtime`).
 """
 
 from repro.models.openmp.runtime import OpenMPRuntime, simd

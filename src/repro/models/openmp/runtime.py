@@ -2,11 +2,24 @@
 
 ``parallel_for`` corresponds to ``#pragma omp parallel for schedule(static)``
 over an outer loop: the iteration range is split into one contiguous chunk
-per thread, and the loop body runs once per chunk.  ``parallel_reduce``
-additionally gives each thread a private partial that is combined at the
-join, which is exactly OpenMP's ``reduction(+:...)`` clause — the partial
-ordering therefore matches a real static-scheduled OpenMP reduction rather
-than a single serial sum.
+per thread (:func:`static_chunks`).  ``parallel_reduce`` additionally gives
+each thread a private partial that is combined at the join, which is
+OpenMP's ``reduction(+:...)`` clause.
+
+The emulation runs the whole team as one slab, ``body(0, n)``, as the CUDA
+launch runs its grid as one SIMT batch and Kokkos runs a ``RangePolicy``.
+That is bitwise what running the team chunk by chunk gives:
+
+- the static chunks are contiguous and in thread order, so together they
+  are exactly ``[0, n)``;
+- every loop body keeps the reach contract of
+  :mod:`repro.models.loopbodies`: it writes only its slab's interior cells
+  and reads no array it writes outside them, so no chunk sees another's
+  writes and any execution order, or all chunks at once, gives the same
+  bits;
+- a reduction body returns one contribution per iteration, so the
+  concatenated chunk contributions are the single call's contribution
+  vector, which the shared deterministic tree folds.
 """
 
 from __future__ import annotations
@@ -49,14 +62,14 @@ def static_chunks(n: int, nthreads: int) -> list[tuple[int, int]]:
 
 
 class OpenMPRuntime:
-    """A fork-join thread team with static scheduling.
+    """A fork-join thread team with static scheduling, run as one batch.
 
-    Chunks execute sequentially in thread order (the emulation is
-    deterministic), and the *decomposition* is faithful to a
-    static-scheduled OpenMP team of ``num_threads`` threads.  Reduction
-    partials are finalised through the shared deterministic pairwise tree
-    (:mod:`repro.models.reduction`) rather than the thread-join order, so
-    reduction scalars are bitwise identical across all ports.
+    ``num_threads`` fixes the static schedule a region stands for; each
+    region runs its team as one slab over ``[0, n)`` (see the module
+    docstring for why that is bitwise the per-thread schedule).  Reduction
+    contributions are finalised through the shared deterministic pairwise
+    tree (:mod:`repro.models.reduction`) rather than the thread-join order,
+    so reduction scalars are bitwise identical across all ports.
     """
 
     def __init__(self, num_threads: int = DEFAULT_NUM_THREADS) -> None:
@@ -66,14 +79,21 @@ class OpenMPRuntime:
         #: Number of parallel regions entered (fork-join overhead counter).
         self.regions = 0
 
+    def _fork(self, n: int) -> bool:
+        """Enter one parallel region over ``range(n)``; True if it has work."""
+        if n < 0:
+            raise ValueError(f"iteration count must be non-negative, got {n}")
+        self.regions += 1
+        return n > 0
+
     def parallel_for(self, n: int, body: Callable[[int, int], None]) -> None:
         """``#pragma omp parallel for schedule(static)`` over ``range(n)``.
 
-        ``body(start, end)`` processes the contiguous chunk ``[start, end)``.
+        ``body(start, end)`` processes the contiguous rows ``[start, end)``;
+        the team runs as the one slab ``[0, n)``.
         """
-        self.regions += 1
-        for start, end in static_chunks(n, self.num_threads):
-            body(start, end)
+        if self._fork(n):
+            body(0, n)
 
     def parallel_reduce(
         self,
@@ -81,22 +101,16 @@ class OpenMPRuntime:
         body: Callable[[int, int], float],
         initial: float = 0.0,
     ) -> float:
-        """``parallel for reduction(+:acc)``: combine per-thread partials.
+        """``parallel for reduction(+:acc)`` over ``range(n)``.
 
-        Each chunk's contribution — a scalar, or a per-iteration array for
-        bodies that expose their elementwise terms — is buffered in chunk
-        order (chunks are contiguous and ordered, so the concatenation is
-        the canonical iteration-order contribution vector) and finalised by
-        the shared deterministic pairwise tree.
+        The team's contribution — a scalar, or a per-iteration array for
+        bodies that expose their elementwise terms — is the canonical
+        iteration-order contribution vector, finalised by the shared
+        deterministic pairwise tree.
         """
-        self.regions += 1
-        parts = [
-            np.atleast_1d(np.asarray(body(start, end), dtype=np.float64)).ravel()
-            for start, end in static_chunks(n, self.num_threads)
-        ]
-        if not parts:
+        if not self._fork(n):
             return initial
-        return initial + deterministic_sum(np.concatenate(parts))
+        return initial + deterministic_sum(_contribution(body(0, n)))
 
     def parallel_reduce_multi(
         self,
@@ -105,19 +119,19 @@ class OpenMPRuntime:
         width: int,
     ) -> tuple[float, ...]:
         """Multi-variable reduction (``reduction(+:a,b,c)``)."""
-        parts: list[list[np.ndarray]] = [[] for _ in range(width)]
-        self.regions += 1
-        for start, end in static_chunks(n, self.num_threads):
-            partial = body(start, end)
-            if len(partial) != width:
-                raise ValueError(
-                    f"reduction body returned {len(partial)} values, expected {width}"
-                )
-            for i, v in enumerate(partial):
-                parts[i].append(np.atleast_1d(np.asarray(v, dtype=np.float64)).ravel())
-        return tuple(
-            deterministic_sum(np.concatenate(p)) if p else 0.0 for p in parts
-        )
+        if not self._fork(n):
+            return (0.0,) * width
+        partial = body(0, n)
+        if len(partial) != width:
+            raise ValueError(
+                f"reduction body returned {len(partial)} values, expected {width}"
+            )
+        return tuple(deterministic_sum(_contribution(v)) for v in partial)
+
+
+def _contribution(value) -> np.ndarray:
+    """A body's reduction result as a flat float64 contribution vector."""
+    return np.atleast_1d(np.asarray(value, dtype=np.float64)).ravel()
 
 
 def simd(fn: Callable[..., T]) -> Callable[..., T]:

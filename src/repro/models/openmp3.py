@@ -39,8 +39,12 @@ class OpenMP3Port(Port):
 
     The kernel set is expressed as ``_k_*`` primitives over the shared
     OpenMP-C loop bodies; dispatch, tracing and residency bookkeeping live
-    in :class:`Port`.  Elementwise kernels may be fused: the fork-join
-    model happily runs several loop bodies per parallel region.
+    in :class:`Port`.  Each ``parallel for`` runs its team as one slab
+    over its whole row range (:class:`OpenMPRuntime`), so the lambdas here
+    keep the loop bodies' reach contract: they write only their rows and
+    read no array they write outside them.  Elementwise kernels may be
+    fused: the fork-join model happily runs several loop bodies per
+    parallel region.
     """
 
     supports_fusion = True

@@ -1,13 +1,15 @@
 """The OpenMP-C loop bodies keep to their reach contract.
 
-The directive ports run every body of :mod:`repro.models.loopbodies`
-over static row slabs ``[r0, r1)`` of one shared array set, which is
+Every body of :mod:`repro.models.loopbodies` is written for a static
+row slab ``[r0, r1)`` of one shared array set.  The slabs of a team are
 race-free only if a body reads nothing beyond rows ``[h+r0-1, h+r1]``
-and writes nothing beyond the slab's interior cells.  The stencil runs
-over each slab's span, whose gap cells between rows read halo columns
-and corners, so this pins what the bodies promise: values
-outside the slab's interior cells and their four neighbours (the
-depth-2 halo columns, the corners, every row outside
+and writes nothing beyond the slab's interior cells.  The same contract
+lets the OpenMP runtime run a whole team as the one slab ``[0, ny)``:
+the per-thread chunks then give the same bits in any order, or all at
+once.  The stencil runs over each slab's span, whose gap cells between
+rows read halo columns and corners, so this pins what the bodies
+promise: values outside the slab's interior cells and their four
+neighbours (the depth-2 halo columns, the corners, every row outside
 ``[h+r0-1, h+r1]``) change neither the slab's results nor its
 reduction contributions, and no cell outside the slab's interior rows
 by interior columns is written.

@@ -1,15 +1,22 @@
-"""OpenMP 3.0 runtime: static scheduling and reductions."""
+"""OpenMP 3.0 runtime: static scheduling, the batched team, reductions."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import fields as F
+from repro.core.deck import default_deck
+from repro.core.driver import TeaLeaf
+from repro.models.base import make_port
 from repro.models.openmp.runtime import (
     OpenMPRuntime,
     is_simd,
     simd,
     static_chunks,
 )
+from repro.models.reduction import deterministic_sum
 
 
 class TestStaticChunks:
@@ -104,3 +111,121 @@ class TestSimdMarker:
 
     def test_unmarked(self):
         assert not is_simd(lambda x: x)
+
+
+class TestBatchedTeam:
+    """Each region runs its team as one slab over ``[0, n)``."""
+
+    @staticmethod
+    def _calls(omp, method, n):
+        calls = []
+
+        def body(start, end):
+            calls.append((start, end))
+            return np.ones(end - start) if method != "parallel_for" else None
+
+        if method == "parallel_reduce_multi":
+            omp.parallel_reduce_multi(n, lambda s, e: (body(s, e),) * 2, width=2)
+        else:
+            getattr(omp, method)(n, body)
+        return calls
+
+    @pytest.mark.parametrize(
+        "method", ["parallel_for", "parallel_reduce", "parallel_reduce_multi"]
+    )
+    def test_body_runs_once_over_the_whole_range(self, method):
+        omp = OpenMPRuntime(num_threads=4)
+        assert self._calls(omp, method, 10) == [(0, 10)]
+        assert self._calls(omp, method, 0) == []
+        assert omp.regions == 2
+
+    @pytest.mark.parametrize(
+        "method", ["parallel_for", "parallel_reduce", "parallel_reduce_multi"]
+    )
+    def test_negative_count_is_refused(self, method):
+        omp = OpenMPRuntime(num_threads=4)
+        with pytest.raises(ValueError, match="non-negative"):
+            self._calls(omp, method, -1)
+
+    def test_empty_reductions_return_their_identity(self):
+        omp = OpenMPRuntime(num_threads=4)
+        assert omp.parallel_reduce(0, lambda s, e: 1.0, initial=2.5) == 2.5
+        assert omp.parallel_reduce_multi(0, lambda s, e: (1.0,), width=3) == (
+            0.0, 0.0, 0.0,
+        )
+
+
+class PerThreadRuntime(OpenMPRuntime):
+    """The per-thread schedule the batch stands for.
+
+    Replays ``static_chunks(n, num_threads)`` one chunk at a time, last
+    thread first, and concatenates reduction contributions in thread
+    order.
+    """
+
+    def _replay(self, n, body):
+        self.regions += 1
+        chunks = static_chunks(n, self.num_threads)
+        results = {chunk: body(*chunk) for chunk in reversed(chunks)}
+        return [results[chunk] for chunk in chunks]
+
+    def parallel_for(self, n, body):
+        self._replay(n, body)
+
+    def parallel_reduce(self, n, body, initial=0.0):
+        parts = self._replay(n, body)
+        if not parts:
+            return initial
+        return initial + deterministic_sum(np.concatenate([np.ravel(p) for p in parts]))
+
+    def parallel_reduce_multi(self, n, body, width):
+        parts = self._replay(n, body)
+        return tuple(
+            deterministic_sum(np.concatenate([np.ravel(p[i]) for p in parts]))
+            if parts else 0.0
+            for i in range(width)
+        )
+
+
+#: (solver, preconditioner, a kernel the solve must launch).  32x32 is the
+#: smallest mesh on which Chebyshev and PPCG leave their CG warm-up, so
+#: ``cheby_iterate`` and ``ppcg_inner`` launch (at 24x24 neither does).
+SOLVES = [
+    ("cg", "none", "cg_calc_w"),
+    ("cg", "jac_diag", "cg_calc_w"),
+    ("chebyshev", "none", "cheby_iterate"),
+    ("ppcg", "none", "ppcg_inner"),
+    ("jacobi", "none", "jacobi_iterate"),
+]
+
+
+def _solve(model, solver, precon, runtime=None):
+    deck = dataclasses.replace(
+        default_deck(n=32, solver=solver, end_step=2),
+        tl_preconditioner_type=precon,
+    )
+    port = make_port(model, deck.grid())
+    if runtime is not None:
+        port.omp = runtime(port.omp.num_threads)
+    app = TeaLeaf(deck, port=port)
+    result = app.run()
+    return {
+        "u": app.field(F.U)[app.grid.inner()].copy(),
+        "per_step": result.iterations_per_step(),
+        "summary": result.steps[-1].summary,
+        "launches": result.trace.kernel_histogram(),
+        "regions": port.omp.regions,
+    }
+
+
+@pytest.mark.parametrize("model", ["openmp-f90", "openmp4", "openacc"])
+@pytest.mark.parametrize("solver,precon,kernel", SOLVES)
+def test_batch_is_bitwise_the_per_thread_schedule(model, solver, precon, kernel):
+    batched = _solve(model, solver, precon)
+    per_thread = _solve(model, solver, precon, PerThreadRuntime)
+    assert batched["launches"][kernel] > 0
+    assert batched["regions"] == per_thread["regions"] > 0
+    np.testing.assert_array_equal(batched["u"], per_thread["u"])
+    assert batched["per_step"] == per_thread["per_step"]
+    assert batched["summary"] == per_thread["summary"]
+    assert batched["launches"] == per_thread["launches"]
