@@ -66,8 +66,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["tl_residency_tracking"] = True
     if args.codegen:
         overrides["tl_codegen"] = True
-    if args.overlap:
-        overrides["tl_overlap"] = True
     if args.poison:
         overrides["tl_poison_dead_fields"] = True
     if overrides:
@@ -106,14 +104,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         print(line)
     print(f"\ntotal wall {result.wall_seconds:.2f}s; trace: {result.trace.summary()}")
-    if args.overlap and result.comm is not None:
+    if args.ranks and args.ranks > 1:
         comm = result.comm
         print(
-            f"comm: {comm['comm_ms']:.4f} ms modelled wire time, "
-            f"{comm['hidden_ms']:.4f} ms hidden behind interior compute, "
-            f"{comm['exposed_ms']:.4f} ms exposed "
-            f"({comm['overlap_steps']} overlapped / "
-            f"{comm['halo_steps']} synchronous exchanges)"
+            f"comm: {comm['comm_ms']:.4f} ms modelled wire time over "
+            f"{comm['halo_steps']} synchronous exchanges, all exposed"
         )
     if result.resilience is not None:
         from repro.harness.report import render_resilience
@@ -185,7 +180,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         make_port(args.model, deck.grid(), Trace()),
         fuse=args.fuse,
         codegen=args.codegen,
-        overlap=args.overlap,
     )
     for message in executor.fallbacks:
         print(f"# {message}")
@@ -195,8 +189,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         header += " resilience-instrumented"
     if executor.codegen:
         header += " codegen"
-    if executor.overlap:
-        header += " overlap"
     print(header)
     prologue, epilogue = solve_step_plans(deck.grid().halo)
     for p in [prologue, *fragments, epilogue]:
@@ -205,7 +197,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 fuse=executor.fuse,
                 instrument=instrument,
                 codegen=executor.codegen,
-                overlap=executor.overlap,
             )
         )
         print()
@@ -627,11 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(tl_codegen); bitwise-identical to the interpreted path",
     )
     run.add_argument(
-        "--overlap", action="store_true",
-        help="overlap halo exchanges with interior compute (tl_overlap); "
-             "bitwise-identical, prints exposed/hidden comm accounting",
-    )
-    run.add_argument(
         "--poison", action="store_true",
         help="debug: NaN-fill each work field where the liveness pass "
              "proves it dead (tl_poison_dead_fields); bitwise-identical "
@@ -659,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--codegen", action="store_true",
         help="show the codegen-lowered variant (compiled kernel steps)",
-    )
-    plan.add_argument(
-        "--overlap", action="store_true",
-        help="show the overlap-paired variant (async exchange steps)",
     )
     plan.add_argument(
         "--resilient", action="store_true",
@@ -760,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "--id",
         help="one experiment (table1, table2, fig8, fig9, fig10, fig11, "
-        "fig12, rank_resilience, codegen_speedup, halo_overlap)",
+        "fig12, rank_resilience, codegen_speedup)",
     )
     exp.add_argument("--quick", action="store_true", help="smaller projected meshes")
     exp.add_argument("--write", nargs="?", const="EXPERIMENTS.md", default=None,

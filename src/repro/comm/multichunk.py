@@ -229,7 +229,6 @@ class MultiChunkPort(Port):
             raise ModelError(
                 f"state shape {density.shape} != grid shape {self.grid.shape}"
             )
-        self.chunks: list[Chunk] = []
         for window, subgrid, port in zip(self.windows, self.subgrids, self.ports):
             chunk = Chunk(
                 grid=subgrid,
@@ -238,7 +237,6 @@ class MultiChunkPort(Port):
                 density=self._scatter(density, window),
                 energy0=self._scatter(energy0, window),
             )
-            self.chunks.append(chunk)
             port.set_state(chunk.density, chunk.energy0)
 
     def read_field(self, name: str) -> np.ndarray:
@@ -257,6 +255,9 @@ class MultiChunkPort(Port):
 
     def _device_array(self, name: str) -> np.ndarray:
         raise ModelError("a decomposed port has no single device array")
+
+    def chunks(self):
+        return tuple(self.ports)
 
     def begin_solve(self) -> None:
         for port in self.ports:
@@ -312,61 +313,6 @@ class MultiChunkPort(Port):
             on_retry=repair,
         )
 
-    # ------------------------------------------------------------------ #
-    # async overlap: nonblocking post / wait
-    # ------------------------------------------------------------------ #
-    def halo_begin(self, names, depth: int):
-        """Post the x-axis sends for every field; delivery waits.
-
-        Packing happens *here*, before any interior sweep mutates the
-        edge layers — the eager-pack side of the overlap WAR contract
-        (the legality pass additionally refuses sweeps that write an
-        exchanged field at all).  Only the x legs can be posted early:
-        the y-axis pack includes the x halo corners, so the y leg must
-        stay behind the x delivery in :meth:`halo_wait`.
-        """
-        self._check_ranks()
-        names = tuple(names)
-        for name in names:
-            self._post_axis(name, depth, Side.LEFT, Side.RIGHT)
-        return (names, depth)
-
-    def halo_wait(self, token) -> None:
-        """Deliver the posted x legs, then run the dependent y legs.
-
-        Keeps the existing liveness/timeout semantics: a straggling or
-        dropped message times the receive out, the repair hook probes
-        ranks and drains the axis, and the retry re-runs the *full*
-        exchange — the posted sends were consumed or drained, and
-        re-packing is idempotent because no overlapped sweep may write
-        an exchanged field.
-        """
-        names, depth = token
-        for name in names:
-            posted = {"pending": True}
-
-            def x_leg(name=name, posted=posted):
-                if posted["pending"]:
-                    posted["pending"] = False
-                    self._recv_axis(name, depth, Side.LEFT, Side.RIGHT)
-                else:
-                    self._exchange_axis(name, depth, Side.LEFT, Side.RIGHT)
-
-            self._retry_exchange(x_leg, name)
-            self._retry_exchange(
-                lambda name=name: self._exchange_axis(
-                    name, depth, Side.DOWN, Side.UP
-                ),
-                name,
-            )
-
-    def overlap_chunks(self):
-        return tuple(self.ports)
-
-    def overlap_reduce(self, partials) -> float:
-        self._check_ranks()
-        return self.world.allreduce_sum(partials, ranks=self.rank_of_chunk)
-
     def halo_wire_traffic(self, names, depth: int) -> tuple[int, int]:
         """Modelled (bytes, messages) for one exchange of ``names``.
 
@@ -397,13 +343,9 @@ class MultiChunkPort(Port):
 
     def _exchange_axis(self, name: str, depth: int, lo: Side, hi: Side) -> None:
         """One axis of exchange: post all sends, then receive/unpack."""
-        self._post_axis(name, depth, lo, hi)
-        self._recv_axis(name, depth, lo, hi)
-
-    def _post_axis(self, name: str, depth: int, lo: Side, hi: Side) -> None:
-        """Pack and send one axis's edge strips (the nonblocking half)."""
         h = self.h
         field_tag = _FIELD_TAG[name]
+        # Post sends (pack kernels).
         for window, port in zip(self.windows, self.ports):
             arr = port._device_array(name)
             src = self.rank_of_chunk[window.rank]
@@ -425,11 +367,7 @@ class MultiChunkPort(Port):
                         self.world.post_late(src, dst, tag)
                         continue
                 comm.Send(buffer, dest=dst, tag=tag)
-
-    def _recv_axis(self, name: str, depth: int, lo: Side, hi: Side) -> None:
-        """Receive and unpack one axis (or reflect at a physical wall)."""
-        h = self.h
-        field_tag = _FIELD_TAG[name]
+        # Receive and unpack (or reflect at the physical boundary).
         for window, port in zip(self.windows, self.ports):
             arr = port._device_array(name)
             comm = self.world.rank(self.rank_of_chunk[window.rank])

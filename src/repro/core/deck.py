@@ -120,21 +120,17 @@ class Deck:
     #: residency state of restored fields so devices re-upload them.
     tl_residency_tracking: bool = False
     #: Run solver plans through the codegen backend: each kernel call /
-    #: fused group executes as one generated, cached NumPy function
-    #: (see repro.models.codegen).  Bitwise-identical to the interpreted
-    #: path; decomposed ports fall back to interpreted dispatch.
+    #: fused group executes as one function composed from the per-op
+    #: NumPy definitions (see repro.models.codegen).  Bitwise-identical
+    #: to the interpreted path; a port that cannot run it falls back to
+    #: interpreted dispatch with a recorded warning.
     tl_codegen: bool = False
-    #: Async overlap executor: pair each halo exchange with the stencil
-    #: sweep behind it, post the exchange, run the sweep's interior core
-    #: while messages are in flight, then finish the boundary strips
-    #: (see repro.models.overlap).  Bitwise-identical to the synchronous
-    #: plan; ports that cannot split fall back with a recorded warning.
-    tl_overlap: bool = False
     #: Debug mode: NaN-fill each work field at the death points the
     #: liveness pass proves (see repro.core.driver.deck_liveness), so any
     #: read of a dead field fails a finite guard instead of consuming
-    #: silently stale bytes.  Bitwise-invisible to a correct run;
-    #: decomposed ports fall back with a recorded warning.
+    #: silently stale bytes.  Bitwise-invisible to a correct run, on one
+    #: chunk or decomposed; the lockstep numdiff harness falls back with
+    #: a recorded warning.
     tl_poison_dead_fields: bool = False
     states: tuple[State, ...] = field(default_factory=tuple)
 
@@ -291,6 +287,13 @@ def _parse_state(line: str, lineno: int) -> State:
     return State(index=index, geometry=geometry, **kwargs)
 
 
+#: Keys whose value is a lower-cased word.
+_STR_KEYS = {
+    "tl_coefficient",
+    "tl_preconditioner_type",
+    "tl_inject",
+    "tl_rank_policy",
+}
 _INT_KEYS = {
     "x_cells",
     "y_cells",
@@ -366,7 +369,6 @@ def parse_deck(text: str) -> Deck:
             "tl_fuse_kernels",
             "tl_residency_tracking",
             "tl_codegen",
-            "tl_overlap",
             "tl_poison_dead_fields",
         ):
             values[lowered] = True
@@ -378,29 +380,24 @@ def parse_deck(text: str) -> Deck:
         key = tokens[0].lower()
         if key in _IGNORED_KEYS:
             continue
+        # An unknown key is reported as such, even on a bare flag line.
+        if key not in _STR_KEYS and key not in _INT_KEYS and key not in _FLOAT_KEYS:
+            raise DeckError(f"line {lineno}: unknown deck key '{key}'")
         if len(tokens) != 2:
             raise DeckError(f"line {lineno}: expected 'key value', got '{line}'")
         value = tokens[1]
-        if key == "tl_coefficient":
-            values["tl_coefficient"] = value.lower()
-        elif key == "tl_preconditioner_type":
-            values["tl_preconditioner_type"] = value.lower()
-        elif key == "tl_inject":
-            values["tl_inject"] = value.lower()
-        elif key == "tl_rank_policy":
-            values["tl_rank_policy"] = value.lower()
+        if key in _STR_KEYS:
+            values[key] = value.lower()
         elif key in _INT_KEYS:
             try:
                 values[key] = int(value)
             except ValueError as exc:
                 raise DeckError(f"line {lineno}: bad integer '{value}' for {key}") from exc
-        elif key in _FLOAT_KEYS:
+        else:
             try:
                 values[key] = float(value)
             except ValueError as exc:
                 raise DeckError(f"line {lineno}: bad number '{value}' for {key}") from exc
-        else:
-            raise DeckError(f"line {lineno}: unknown deck key '{key}'")
 
     if not saw_begin:
         raise DeckError("deck contains no *tea block")

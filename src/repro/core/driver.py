@@ -130,7 +130,7 @@ class RunResult:
     #: Flags the executor could not honour on this port (e.g. codegen on
     #: a decomposed port) — recorded, never silently dropped.
     fallbacks: list[str] = field(default_factory=list)
-    #: Deterministic exposed/hidden communication accounting
+    #: Deterministic modelled communication accounting
     #: (``CommStats.as_dict()``; zeros for single-chunk runs).
     comm: dict | None = None
 
@@ -225,7 +225,6 @@ class TeaLeaf:
             fuse=deck.tl_fuse_kernels,
             resilience=self.resilience,
             codegen=deck.tl_codegen,
-            overlap=deck.tl_overlap,
         )
         self.port.plan_executor = self.executor
 
@@ -233,11 +232,11 @@ class TeaLeaf:
         # pass proves it dead — at step entry and after the plans that
         # release it — so a stale read fails a finite guard instead of
         # silently reusing old bytes.  It fills each chunk's device
-        # arrays, so it follows ``supports_overlap``, which declares
+        # arrays, so it needs a port whose ``supports_poison`` declares
         # that those arrays are the ones the kernels use.
         self._dead_at_entry: tuple[str, ...] = ()
         if deck.tl_poison_dead_fields:
-            if self.port.supports_overlap:
+            if self.port.supports_poison:
                 liveness = deck_liveness(deck)
                 self.executor.poison_after = liveness.releases
                 self._dead_at_entry = liveness.dead_at_entry
@@ -245,7 +244,7 @@ class TeaLeaf:
                 self.executor.fallbacks.append(
                     f"tl_poison_dead_fields requested but port "
                     f"'{self.port.model_name}' does not support it "
-                    f"(supports_overlap=False); dead fields are not poisoned"
+                    f"(supports_poison=False); dead fields are not poisoned"
                 )
         # A requested optimisation the port cannot honour degrades
         # loudly: one warning line per fallback, plus a record on the

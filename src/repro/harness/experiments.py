@@ -1,6 +1,5 @@
 """Every registered experiment: the paper's Tables 1-2 and Figures 8-12,
-plus the reproduction's own extensions (rank resilience, codegen, halo
-overlap).
+plus the reproduction's own extensions (rank resilience, codegen).
 
 Every experiment regenerates its table/figure from the library (ports,
 traces, device simulator) and checks the paper's qualitative claims
@@ -22,7 +21,6 @@ Runtime projection pipeline per (model, device, solver):
 from __future__ import annotations
 
 from functools import lru_cache
-from pathlib import Path
 from statistics import median
 
 from repro.core.deck import default_deck
@@ -758,156 +756,6 @@ def codegen_speedup(quick: bool = True) -> ExperimentResult:
     )
 
 
-# --------------------------------------------------------------------- #
-# Async overlap: exposed vs hidden halo-exchange time (extension)
-# --------------------------------------------------------------------- #
-def halo_overlap(quick: bool = True) -> ExperimentResult:
-    """Exposed vs hidden communication under ``--overlap``.
-
-    Runs the decomposed benchmark ensemble twice — synchronous halo
-    exchanges, then with interior/boundary splitting so exchanges fly
-    behind the interior sweep — and compares bits and the deterministic
-    communication accounting.  Checks are on physics (bitwise-identical
-    field, iteration trajectory and summary), on plan structure (overlap
-    sites actually formed), and on the cost model (some communication
-    was hidden, and the exposed total dropped by at least 30%).  Hidden
-    exchange time alone would leave out what the split costs, so the
-    net modelled clock is checked too: the trace's device time on the
-    E5-2670 model plus the exposed communication must not rise.  The
-    accounting is the simulated-async cost model, so the numbers are
-    reproducible across machines.
-    """
-    import dataclasses
-
-    import numpy as np
-
-    from repro.comm.multichunk import MultiChunkPort
-    from repro.core import fields as F
-    from repro.core.deck import parse_deck_file
-    from repro.core.driver import TeaLeaf
-
-    deck_path = Path(__file__).resolve().parents[3] / "decks" / "tea_bm_short.in"
-    base_deck = parse_deck_file(str(deck_path))
-    if not quick:
-        base_deck = dataclasses.replace(base_deck, end_step=8)
-    nranks = 4
-    cpu = PerformanceModel(device_for("cpu"))
-
-    def run(overlap: bool):
-        deck = dataclasses.replace(base_deck, tl_overlap=overlap)
-        port = MultiChunkPort(deck.grid(), nranks=nranks)
-        app = TeaLeaf(deck, port=port)
-        result = app.run()
-        device = cpu.time_trace(result.trace, "openmp-f90", deck.solver)
-        return {
-            "u": app.field(F.U)[app.grid.inner()].copy(),
-            "per_step": result.iterations_per_step(),
-            "summary": result.steps[-1].summary,
-            "comm": result.comm,
-            "fallbacks": result.fallbacks,
-            "net_ms": device.total * 1e3 + result.comm["exposed_ms"],
-        }
-
-    sync = run(overlap=False)
-    over = run(overlap=True)
-
-    bitwise = bool(np.array_equal(sync["u"], over["u"]))
-    exposed_sync = sync["comm"]["exposed_ms"]
-    exposed_over = over["comm"]["exposed_ms"]
-    reduction = 1.0 - exposed_over / max(exposed_sync, 1e-12)
-
-    headers = [
-        "Mode",
-        "comm ms",
-        "exposed ms",
-        "hidden ms",
-        "overlap sites",
-        "device+exposed ms",
-    ]
-    rows = [
-        [
-            "synchronous",
-            f"{sync['comm']['comm_ms']:.4f}",
-            f"{exposed_sync:.4f}",
-            f"{sync['comm']['hidden_ms']:.4f}",
-            str(sync["comm"]["overlap_steps"]),
-            f"{sync['net_ms']:.2f}",
-        ],
-        [
-            "overlap",
-            f"{over['comm']['comm_ms']:.4f}",
-            f"{exposed_over:.4f}",
-            f"{over['comm']['hidden_ms']:.4f}",
-            str(over["comm"]["overlap_steps"]),
-            f"{over['net_ms']:.2f}",
-        ],
-    ]
-
-    checks = [
-        Check(
-            name="overlap:bitwise",
-            passed=bitwise
-            and over["per_step"] == sync["per_step"]
-            and over["summary"] == sync["summary"],
-            detail="u, iteration trajectory and summary all identical",
-        ),
-        Check(
-            name="overlap:sites-formed",
-            passed=over["comm"]["overlap_steps"] > 0
-            and not over["fallbacks"],
-            detail="the compiled plans contain overlap steps, no fallback",
-        ),
-        Check(
-            name="overlap:comm-hidden",
-            passed=over["comm"]["hidden_ms"] > 0.0,
-            detail="some exchange time landed behind the interior sweep",
-        ),
-        Check(
-            name="overlap:exposed-reduced-30pct",
-            passed=reduction >= 0.30,
-            detail=f"exposed comm dropped {reduction:.1%} (>= 30% required)",
-        ),
-        Check(
-            name="overlap:same-wire-traffic",
-            passed=abs(over["comm"]["comm_ms"] - sync["comm"]["comm_ms"])
-            < 1e-12,
-            detail=(
-                "overlap reschedules the exchanges, it never changes how "
-                "much is communicated"
-            ),
-        ),
-        Check(
-            name="overlap:net-modelled-time",
-            passed=over["net_ms"] <= sync["net_ms"],
-            detail=(
-                f"device time on the E5-2670 model plus exposed comm: "
-                f"{over['net_ms']:.2f} ms overlapped, "
-                f"{sync['net_ms']:.2f} ms synchronous"
-            ),
-        ),
-    ]
-
-    return ExperimentResult(
-        experiment_id="halo_overlap",
-        title="Async overlap: hiding halo exchange behind interior compute",
-        description=(
-            "Deterministic exposed/hidden communication accounting for the "
-            "--overlap executor on the decomposed benchmark ensemble; "
-            "physics, the 30% exposed-time reduction and a net modelled "
-            "clock no higher than the synchronous run's are asserted."
-        ),
-        rendered=report.render_table(headers, rows),
-        checks=checks,
-        data={
-            "rows": rows,
-            "reduction": reduction,
-            "sync": sync["comm"],
-            "overlap": over["comm"],
-            "net_ms": {"sync": sync["net_ms"], "overlap": over["net_ms"]},
-        },
-    )
-
-
 EXPERIMENTS = {
     "table1": table1,
     "table2": table2,
@@ -918,5 +766,4 @@ EXPERIMENTS = {
     "fig12": fig12,
     "rank_resilience": rank_resilience,
     "codegen_speedup": codegen_speedup,
-    "halo_overlap": halo_overlap,
 }

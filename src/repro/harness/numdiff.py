@@ -152,12 +152,12 @@ class LockstepPort(Port):
     """
 
     model_name = "lockstep"
-    #: The facade exists to observe every public kernel call; overlap
-    #: execution and dead-field poison write device arrays directly and
-    #: would bypass the per-call comparison (they reach only the
-    #: reference port), so both are refused and the fallback recorded
-    #: instead of silently degrading the lockstep contract.
-    supports_overlap = False
+    #: The facade exists to observe every public kernel call; dead-field
+    #: poison writes device arrays directly and would bypass the per-call
+    #: comparison (it reaches only the reference port), so it is refused
+    #: and the fallback recorded instead of silently degrading the
+    #: lockstep contract.
+    supports_poison = False
     #: Compiled kernels write through :meth:`_device_array` too, so the
     #: candidate would never run them and every such call would read as
     #: a divergence.  Refused likewise, so the ports' own primitives are

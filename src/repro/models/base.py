@@ -93,15 +93,12 @@ class Port(ABC):
     #: instance).
     supports_codegen: bool = True
 
-    #: Whether the async overlap executor may split this port's sweeps
-    #: into interior/boundary regions and run them around a posted halo
-    #: exchange.  It declares that :meth:`_device_array` of every port in
-    #: :meth:`overlap_chunks` returns the arrays the kernels use: the
-    #: overlapped sweeps write them, and poison mode
-    #: (``tl_poison_dead_fields``) NaN-fills them, so it follows this
-    #: flag.  Proxies that must observe every public kernel call (the
-    #: lockstep numerics harness) opt out, and the fallback is recorded.
-    supports_overlap: bool = True
+    #: Whether dead-field poison (``tl_poison_dead_fields``) may NaN-fill
+    #: this port's fields.  It declares that :meth:`_device_array` of
+    #: every port in :meth:`chunks` returns the arrays the kernels use.
+    #: Proxies that must observe every public kernel call (the lockstep
+    #: numerics harness) opt out, and the fallback is recorded.
+    supports_poison: bool = True
 
     #: Executor the driver attaches for plan replay; solvers fall back to
     #: an unfused :class:`~repro.models.plan.PlanExecutor` when absent.
@@ -240,11 +237,11 @@ class Port(ABC):
         """Trace what follows one reduction's launch on this port.
 
         Called once per reduction result on every path: by the port's own
-        interpreted reduction, by :meth:`dispatch_compiled` and by the
-        overlap tails, so ``--codegen`` and ``--overlap`` leave the
-        modelled clock where the interpreted run puts it.  Ports that
-        finish reductions on the host (CUDA, OpenCL) record their
-        partials pass and read-back; the rest have nothing to record.
+        interpreted reduction and by :meth:`dispatch_compiled`, so
+        ``--codegen`` leaves the modelled clock where the interpreted run
+        puts it.  Ports that finish reductions on the host (CUDA, OpenCL)
+        record their partials pass and read-back; the rest have nothing
+        to record.
         """
 
     def dispatch(self, call: KernelCall):
@@ -430,33 +427,6 @@ class Port(ABC):
             ops.reflective_halo_update(self._device_array(name), self.h, depth)
         self._mark_dirty(names)
 
-    # ------------------------------------------------------------------ #
-    # async overlap (the deterministic simulated-async exchange API)
-    # ------------------------------------------------------------------ #
-    def halo_begin(self, names: Iterable[str], depth: int):
-        """Post the exchange for ``names``; returns a wait token.
-
-        The single-chunk default completes the reflective update eagerly
-        — the deterministic simulated-async mode: the 'posted' exchange
-        reads exactly the pre-sweep edge values the synchronous
-        :meth:`update_halo` would, so overlapped results are bitwise
-        identical and there is no wall-clock nondeterminism.  Decomposed
-        ports override this pair to genuinely split post and delivery.
-        """
-        self.update_halo(names, depth)
-        return None
-
-    def halo_wait(self, token) -> None:
-        """Complete a posted exchange (no-op for the eager default)."""
-
-    def overlap_chunks(self) -> tuple[Port, ...]:
-        """The per-chunk ports an overlapped sweep iterates over."""
-        return (self,)
-
-    def overlap_reduce(self, partials: list[float]) -> float:
-        """Combine per-chunk reduction partials (allreduce when ranked)."""
-        return partials[0]
-
     def halo_wire_traffic(
         self, names: Iterable[str], depth: int
     ) -> tuple[int, int]:
@@ -471,6 +441,10 @@ class Port(ABC):
     @abstractmethod
     def _device_array(self, name: str) -> np.ndarray:
         """The device-resident backing array for ``name`` (for halo logic)."""
+
+    def chunks(self) -> tuple[Port, ...]:
+        """The per-chunk ports whose device arrays hold the fields."""
+        return (self,)
 
 
 class ProgrammingModel(ABC):

@@ -39,7 +39,7 @@ contiguous memory (at 256², one ufunc costs about 90 µs through strided
 views of the padded fields and 53 µs over the same cells as one run).
 Results fill spans of scratch, and their pitched ``(ny, nx)`` views
 feed the one write of each field through the field's interior view.
-Other tails and the reduction contributions use ``T0``-``T2``,
+Other updates and the reduction contributions use ``T0``-``T2``,
 contiguous ``(ny, nx)`` views at the row heads.  ``T0`` and the first
 span share memory, so no ufunc may write one while it reads the other:
 NumPy would copy the input into a hidden temporary.  Every definition
@@ -47,26 +47,14 @@ writes a scratch array before it reads it, so nothing is carried in
 scratch between calls, and checkpoints, poison and residency, which see
 only fields, never see it.
 
-Sweep and tail
---------------
-Each op has a whole-interior ``tail(ctx, args)`` that returns its
-reduction partial (or ``None``).  The four ops the async overlap
-executor (:mod:`repro.models.overlap`) splits around a halo exchange
-also have a region-capable ``sweep(ctx, S, args)``: the stencil part,
-evaluated over the slices and scratch views of ``S`` — the context
-itself, or a :class:`~repro.models.overlap.RegionSlices` for one
-interior core or boundary strip.  Both offer ``S.matvec(v)``, so a
-sweep does not ask which one it was given.  The compiled path runs the
-sweep over the whole interior and then the tail, which is the op's
-ufunc sequence in order, so ``--codegen`` and ``--overlap`` share one
-definition.
-
-The functions hold no geometry and no scalars: grid facts arrive through
-a per-port :class:`CodegenContext` and scalar arguments through a
-per-execution ``argv`` table, so one lowered step serves every port,
-grid and iteration, and the per-plan ``Plan._compiled`` entry keyed by
-(fuse, instrument, codegen, overlap) reuses each lowered step list
-wholesale across iterations.
+Each op is one function ``fn(ctx, args)`` over the whole interior that
+returns its reduction partial (or ``None``).  The functions hold no
+geometry and no scalars: grid facts arrive through a per-port
+:class:`CodegenContext` and scalar arguments through a per-execution
+``argv`` table, so one lowered step serves every port, grid and
+iteration, and the per-plan ``Plan._compiled`` entry keyed by (fuse,
+instrument, codegen) reuses each lowered step list wholesale across
+iterations.
 """
 
 from __future__ import annotations
@@ -121,25 +109,22 @@ class CodegenContext:
     cells, indexed like the fields' interior run :attr:`span`; and
     ``pitched`` are ``(ny, nx)`` views of the spans' interior cells, for
     the write-back.
-    Every context of one geometry shares the block, so the chunks of a
-    decomposed port keep one scratch footprint in cache rather than one
-    each.  That relies on no two ports being driven from two threads at
-    once; nothing in ``src/`` does that.
+    Every context of one geometry shares the block, so ports of one
+    geometry keep one scratch footprint in cache rather than one each.
+    That relies on no two ports being driven from two threads at once;
+    nothing in ``src/`` does that.
     """
 
     __slots__ = (
         "array", "h", "nx", "ny", "pitch", "dx2", "dy2",
         "I", "Ip", "Im", "J", "Jp", "Jm", "at", "span", "spans", "pitched",
-        "T0", "T1", "T2", "regions",
+        "T0", "T1", "T2",
     )
 
     def __init__(self, array: Callable[[str], np.ndarray], grid: Any) -> None:
         h, nx, ny = grid.halo, grid.nx, grid.ny
         pitch = nx + 2 * h
         self.array = array
-        #: The overlap executor's region views, built on first use
-        #: (:func:`repro.models.overlap.region_views`).
-        self.regions = None
         self.h, self.nx, self.ny, self.pitch = h, nx, ny, pitch
         self.dx2 = grid.dx * grid.dx
         self.dy2 = grid.dy * grid.dy
@@ -181,10 +166,6 @@ class CodegenContext:
 # --------------------------------------------------------------------- #
 # one NumPy definition per op
 # --------------------------------------------------------------------- #
-def _no_tail(ctx: CodegenContext, args: tuple) -> None:
-    return None
-
-
 def _set_field(ctx: CodegenContext, args: tuple) -> None:
     A = ctx.array
     A(F.ENERGY1)[ctx.I, ctx.J] = A(F.ENERGY0)[ctx.I, ctx.J]
@@ -213,9 +194,9 @@ def _tea_leaf_init(ctx: CodegenContext, args: tuple) -> None:
     zero_boundary_coefficients(kx, ky, ctx.h, ctx.nx, ctx.ny)
 
 
-def _residual_sweep(ctx: CodegenContext, S: Any, args: tuple) -> None:
-    A = ctx.array
-    np.subtract(A(F.U0)[S.I, S.J], S.matvec(F.U), out=A(F.R)[S.I, S.J])
+def _tea_leaf_residual(ctx: CodegenContext, args: tuple) -> None:
+    A, I, J = ctx.array, ctx.I, ctx.J
+    np.subtract(A(F.U0)[I, J], ctx.matvec(F.U), out=A(F.R)[I, J])
 
 
 def _cg_init(ctx: CodegenContext, args: tuple) -> float:
@@ -229,12 +210,9 @@ def _cg_init(ctx: CodegenContext, args: tuple) -> float:
     return deterministic_sum(T0.ravel())
 
 
-def _cg_calc_w_sweep(ctx: CodegenContext, S: Any, args: tuple) -> None:
-    ctx.array(F.W)[S.I, S.J] = S.matvec(F.P)
-
-
-def _cg_calc_w_tail(ctx: CodegenContext, args: tuple) -> float:
+def _cg_calc_w(ctx: CodegenContext, args: tuple) -> float:
     A, I, J, T0 = ctx.array, ctx.I, ctx.J, ctx.T0
+    A(F.W)[I, J] = ctx.matvec(F.P)
     np.multiply(A(F.P)[I, J], A(F.W)[I, J], out=T0)
     return deterministic_sum(T0.ravel())
 
@@ -276,27 +254,24 @@ def _cheby_init(ctx: CodegenContext, args: tuple) -> None:
     np.add(u, sd, out=u)
 
 
-def _smooth(res: str, acc: str) -> tuple[Callable, Callable]:
-    """(sweep, tail) of one polynomial smoothing step.
+def _smooth(res: str, acc: str) -> Callable[[CodegenContext, tuple], None]:
+    """One polynomial smoothing step.
 
-    ``res -= A sd`` is the sweep; ``sd = alpha sd + beta res`` and
-    ``acc += sd`` are the tail.  Chebyshev smooths the residual r into
-    u, the PPCG inner step the workspace w into z.
+    ``res -= A sd``, then ``sd = alpha sd + beta res`` and
+    ``acc += sd``.  Chebyshev smooths the residual r into u, the PPCG
+    inner step the workspace w into z.
     """
 
-    def sweep(ctx: CodegenContext, S: Any, args: tuple) -> None:
-        r = ctx.array(res)[S.I, S.J]
-        np.subtract(r, S.matvec(F.SD), out=r)
-
-    def tail(ctx: CodegenContext, args: tuple) -> None:
+    def smooth(ctx: CodegenContext, args: tuple) -> None:
         A, I, J, T0 = ctx.array, ctx.I, ctx.J, ctx.T0
-        sd, x = A(F.SD)[I, J], A(acc)[I, J]
+        r, sd, x = A(res)[I, J], A(F.SD)[I, J], A(acc)[I, J]
+        np.subtract(r, ctx.matvec(F.SD), out=r)
         np.multiply(args[0], sd, out=sd)
-        np.multiply(args[1], A(res)[I, J], out=T0)
+        np.multiply(args[1], r, out=T0)
         np.add(sd, T0, out=sd)
         np.add(x, sd, out=x)
 
-    return sweep, tail
+    return smooth
 
 
 def _ppcg_precon_init(ctx: CodegenContext, args: tuple) -> None:
@@ -366,29 +341,25 @@ class OpDef:
     ``launches`` overrides the single traced launch of the op's kernel.
     """
 
-    tail: Callable[[CodegenContext, tuple], float | None]
-    sweep: Callable[[CodegenContext, Any, tuple], None] | None = None
+    fn: Callable[[CodegenContext, tuple], float | None]
     launches: tuple[str, ...] = ()
 
-
-_CHEBY_SWEEP, _CHEBY_TAIL = _smooth(F.R, F.U)
-_PPCG_SWEEP, _PPCG_TAIL = _smooth(F.W, F.Z)
 
 #: Every op a plan can lower.  ``field_summary`` is absent: the driver
 #: calls it directly on the port, outside any plan.
 OP_DEFS: dict[str, OpDef] = {
     "set_field": OpDef(_set_field),
     "tea_leaf_init": OpDef(_tea_leaf_init),
-    "tea_leaf_residual": OpDef(_no_tail, _residual_sweep),
+    "tea_leaf_residual": OpDef(_tea_leaf_residual),
     "cg_init": OpDef(_cg_init),
-    "cg_calc_w": OpDef(_cg_calc_w_tail, _cg_calc_w_sweep),
+    "cg_calc_w": OpDef(_cg_calc_w),
     "cg_calc_ur": OpDef(_cg_calc_ur),
     "cg_calc_p": OpDef(_calc_p(F.R)),
     "ppcg_calc_p": OpDef(_calc_p(F.Z)),
     "cheby_init": OpDef(_cheby_init),
-    "cheby_iterate": OpDef(_CHEBY_TAIL, _CHEBY_SWEEP),
+    "cheby_iterate": OpDef(_smooth(F.R, F.U)),
     "ppcg_precon_init": OpDef(_ppcg_precon_init),
-    "ppcg_precon_inner": OpDef(_PPCG_TAIL, _PPCG_SWEEP),
+    "ppcg_precon_inner": OpDef(_smooth(F.W, F.Z)),
     "cg_precon_jacobi": OpDef(_cg_precon_jacobi),
     "jacobi_iterate": OpDef(
         _jacobi_iterate, launches=("copy_field", "jacobi_iterate")
@@ -403,25 +374,12 @@ OP_DEFS: dict[str, OpDef] = {
 # --------------------------------------------------------------------- #
 # lowering
 # --------------------------------------------------------------------- #
-def _whole(d: OpDef) -> Callable[[CodegenContext, tuple], float | None]:
-    """The op over the whole interior: its sweep, then its tail."""
-    if d.sweep is None:
-        return d.tail
-    sweep, tail = d.sweep, d.tail
-
-    def whole(ctx: CodegenContext, args: tuple) -> float | None:
-        sweep(ctx, ctx, args)
-        return tail(ctx, args)
-
-    return whole
-
-
 def _lower(
     calls: tuple[KernelCall, ...],
     launches: tuple[tuple[str, KernelSpec | None], ...],
     halo: HaloStep | None = None,
 ) -> CompiledKernel:
-    fns = tuple(_whole(OP_DEFS[c.op]) for c in calls)
+    fns = tuple(OP_DEFS[c.op].fn for c in calls)
 
     def fn(ctx: CodegenContext, argv: tuple[tuple, ...]) -> tuple:
         return tuple([f(ctx, args) for f, args in zip(fns, argv)])

@@ -39,7 +39,7 @@ optimisation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.kernels import KERNELS, KernelSpec
@@ -335,53 +335,6 @@ class FusedGroup:
 
 
 @dataclass(frozen=True)
-class OverlapStep:
-    """An exchange overlapped with the interior sweep of the next step.
-
-    Built by the overlap pass (``Plan.compiled(..., overlap=True)``)
-    from an adjacent ``(HaloStep, KernelCall | FusedGroup)`` pair whose
-    dataflow :func:`~repro.models.overlap.overlap_reason` declares safe.
-    Each chunk launches twice under the body's own launch: the exchange
-    is posted, the chunk's core (cells whose stencil cannot reach a
-    ghost layer) is swept while the messages are in flight under
-    ``core_spec``, the wait completes delivery, and one boundary-ring
-    launch under ``spec`` sweeps the four strips against the fresh
-    ghosts and finishes the member tails (same-cell updates and
-    reductions) over the whole interior.  Results are bitwise-identical
-    to running the halo then the body; the exposed communication time
-    and one launch per chunk are all that change.
-    """
-
-    halo: HaloStep
-    body: Any  # KernelCall | FusedGroup
-    calls: tuple[KernelCall, ...] = field(init=False, compare=False)
-    has_binds: bool = field(init=False, compare=False)
-    argv: tuple[tuple[Any, ...], ...] = field(init=False, compare=False)
-    #: The body's own launch (the call's ``KERNELS`` entry or the
-    #: group's spec), under which the boundary ring runs and reduces.
-    spec: KernelSpec = field(init=False, repr=False, compare=False)
-    #: ``spec`` without its reduction: the core traversal's launch.
-    core_spec: KernelSpec = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if isinstance(self.body, FusedGroup):
-            calls, spec = self.body.calls, self.body.spec
-        else:
-            calls, spec = (self.body,), self.body.spec.spec()
-        object.__setattr__(self, "calls", calls)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(
-            self, "core_spec", replace(spec, has_reduction=False)
-        )
-        object.__setattr__(
-            self,
-            "has_binds",
-            any(isinstance(a, Bind) for c in calls for a in c.args),
-        )
-        object.__setattr__(self, "argv", tuple(c.args for c in calls))
-
-
-@dataclass(frozen=True)
 class FaultStep:
     """Fault-plan trigger point for the named kernel launches.
 
@@ -631,36 +584,6 @@ def _guard_for(call: KernelCall) -> GuardStep | None:
     return None
 
 
-def _overlap_steps(steps: list[Step]) -> list[Step]:
-    """Pair each legal adjacent (HaloStep, sweep) into an OverlapStep.
-
-    Runs after fusion and before instrumentation, so a hoisted halo next
-    to the fused group it was lifted over is itself a candidate pair.
-    Pairs the legality pass refuses (see
-    :func:`repro.models.overlap.overlap_reason`) stay as-is — overlap
-    never changes results, only which steps can hide their exchange.
-    """
-    # Imported lazily: the overlap module builds on the IR defined here.
-    from repro.models.overlap import overlap_reason
-
-    out: list[Step] = []
-    i = 0
-    while i < len(steps):
-        step = steps[i]
-        nxt = steps[i + 1] if i + 1 < len(steps) else None
-        if (
-            isinstance(step, HaloStep)
-            and isinstance(nxt, (KernelCall, FusedGroup))
-            and overlap_reason(step, nxt) is None
-        ):
-            out.append(OverlapStep(step, nxt))
-            i += 2
-        else:
-            out.append(step)
-            i += 1
-    return out
-
-
 def _prefix_halos(steps: list[Step]) -> list[Step]:
     """Fold each halo into the traversal that stencil-reads what it refreshes.
 
@@ -668,8 +591,7 @@ def _prefix_halos(steps: list[Step]) -> list[Step]:
     :func:`prefix_reason` accepts becomes that traversal's prefix
     (:class:`FusedGroup` ``halo``): one launch instead of two, the same
     bits.  Runs after fusion, so the group keeps the members fusion gave
-    it; an overlap-compiled plan skips it, because there ``--overlap``
-    pairs each exchange with its sweep.
+    it.
     """
     out: list[Step] = []
     for step in steps:
@@ -713,17 +635,6 @@ def _instrument(steps: list[Step]) -> list[Step]:
         elif isinstance(step, HaloStep):
             out.append(FaultStep(("update_halo",)))
             out.append(step)
-        elif isinstance(step, OverlapStep):
-            # Same trigger/guard sequence the unoverlapped pair gets:
-            # halo fault point, member fault points, then the member
-            # guards once the overlapped execution completes.
-            out.append(FaultStep(("update_halo",)))
-            out.append(FaultStep(tuple(c.op for c in step.calls)))
-            out.append(step)
-            for call in step.calls:
-                guard = _guard_for(call)
-                if guard is not None:
-                    out.append(guard)
         else:
             out.append(step)
     return out
@@ -735,7 +646,7 @@ class Plan:
 
     name: str
     steps: tuple[Step, ...]
-    _compiled: dict[tuple[bool, bool, bool, bool], list[Step]] = field(
+    _compiled: dict[tuple[bool, bool, bool], list[Step]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -744,31 +655,26 @@ class Plan:
         fuse: bool,
         instrument: bool = False,
         codegen: bool = False,
-        overlap: bool = False,
     ) -> list[Step]:
         """The executable step list, fused when ``fuse`` is set.
 
-        Compilation happens once per (fuse, instrument, codegen,
-        overlap) tuple and is cached — CG/Chebyshev/PPCG inner
-        loops replay the same compiled list every iteration instead of
-        rebuilding their call sequence.  Pass order: ``fuse`` first,
-        then ``overlap`` pairs exchanges with the (possibly fused) sweep
-        behind them — or, with fusion on and overlap off, each halo
+        Compilation happens once per (fuse, instrument, codegen) tuple
+        and is cached — CG/Chebyshev/PPCG inner loops replay the same
+        compiled list every iteration instead of rebuilding their call
+        sequence.  Pass order: ``fuse`` first, after which each halo
         becomes the prefix of the traversal that reads it (see
-        :func:`_prefix_halos`) — ``instrument`` weaves resilience
+        :func:`_prefix_halos`); ``instrument`` weaves resilience
         fault/guard steps around the result (see :func:`_instrument`),
         and ``codegen`` finally lowers the remaining plain kernel calls
         and fused groups to composed NumPy functions
-        (:mod:`repro.models.codegen`), leaving halo/scalar/guard/overlap
-        steps interpreted.
+        (:mod:`repro.models.codegen`), leaving halo/scalar/guard steps
+        interpreted.
         """
-        key = (bool(fuse), bool(instrument), bool(codegen), bool(overlap))
+        key = (bool(fuse), bool(instrument), bool(codegen))
         cached = self._compiled.get(key)
         if cached is None:
             cached = self._compile() if fuse else list(self.steps)
-            if key[3]:
-                cached = _overlap_steps(cached)
-            elif key[0]:
+            if key[0]:
                 cached = _prefix_halos(cached)
             if key[1]:
                 cached = _instrument(cached)
@@ -833,7 +739,6 @@ class Plan:
         fuse: bool = False,
         instrument: bool = False,
         codegen: bool = False,
-        overlap: bool = False,
     ) -> str:
         """Human-readable dump (the ``repro plan`` CLI output)."""
         header = f"plan {self.name} (fuse={'on' if fuse else 'off'}"
@@ -841,10 +746,8 @@ class Plan:
             header += ", instrumented"
         if codegen:
             header += ", codegen"
-        if overlap:
-            header += ", overlap"
         lines = [header + "):"]
-        for step in self.compiled(fuse, instrument, codegen, overlap):
+        for step in self.compiled(fuse, instrument, codegen):
             lines.append(f"  {render_step(step)}")
         return "\n".join(lines)
 
@@ -856,11 +759,6 @@ def _render_arg(arg: Any) -> str:
 
 
 def render_step(step: Step) -> str:
-    if isinstance(step, OverlapStep):
-        return (
-            f"overlap {{ {render_step(step.halo)} || interior-first "
-            f"{render_step(step.body)} }}"
-        )
     if isinstance(step, (CompiledKernel, FusedGroup)):
         parts = [render_step(c) for c in step.calls]
         if step.halo is not None:
@@ -1065,6 +963,73 @@ def compute_liveness(timeline: Sequence[Plan]) -> FieldLiveness:
 
 
 # --------------------------------------------------------------------- #
+# exposed communication accounting
+# --------------------------------------------------------------------- #
+#: Simulated network bandwidth for halo traffic (bytes per millisecond).
+NET_BANDWIDTH_B_PER_MS = 20e6  # 20 GB/s
+#: Simulated per-message latency (milliseconds).
+NET_LATENCY_MS = 0.001
+
+
+def comm_cost_ms(nbytes: int, messages: int) -> float:
+    """Modelled wire time for one exchange (latency + bandwidth terms)."""
+    return messages * NET_LATENCY_MS + nbytes / NET_BANDWIDTH_B_PER_MS
+
+
+class CommStats:
+    """Deterministic communication ledger for one run.
+
+    Every exchange is synchronous, so its whole modelled wire time
+    (:func:`comm_cost_ms` of the port's declared
+    :meth:`~repro.models.base.Port.halo_wire_traffic`) is exposed.  No
+    wall clock is consulted: the ledger is a pure function of the plan
+    and the decomposition, and replays identically run over run.
+    Aggregated per *site* — one entry per (plan, exchanged fields,
+    depth) — rather than per execution, so a 10k-iteration run stays
+    bounded while still showing exactly which plan step pays which cost.
+    """
+
+    __slots__ = ("comm_ms", "exposed_ms", "halo_steps", "sites")
+
+    def __init__(self) -> None:
+        self.comm_ms = 0.0
+        self.exposed_ms = 0.0
+        self.halo_steps = 0
+        self.sites: dict[tuple, dict] = {}
+
+    def record_halo(
+        self, plan: str, names: tuple, depth: int, comm_ms: float
+    ) -> None:
+        self.halo_steps += 1
+        self.comm_ms += comm_ms
+        self.exposed_ms += comm_ms
+        key = (plan, names, depth)
+        site = self.sites.get(key)
+        if site is None:
+            site = self.sites[key] = {
+                "plan": plan,
+                "fields": list(names),
+                "depth": depth,
+                "count": 0,
+                "comm_ms": 0.0,
+                "exposed_ms": 0.0,
+            }
+        site["count"] += 1
+        site["comm_ms"] += comm_ms
+        site["exposed_ms"] += comm_ms
+
+    def as_dict(self) -> dict:
+        return {
+            "comm_ms": self.comm_ms,
+            "exposed_ms": self.exposed_ms,
+            "halo_steps": self.halo_steps,
+            "sites": [
+                self.sites[key] for key in sorted(self.sites, key=repr)
+            ],
+        }
+
+
+# --------------------------------------------------------------------- #
 # the executor
 # --------------------------------------------------------------------- #
 class PlanExecutor:
@@ -1084,10 +1049,9 @@ class PlanExecutor:
     capture.  Without one, the disabled path pays exactly nothing.
 
     A flag a port cannot honour (``fuse`` on a port without fused
-    dispatch, ``codegen`` on a decomposed port, ``overlap`` on a proxy
-    that intercepts public kernel calls) is not silently dropped: the
-    degradation is recorded in :attr:`fallbacks` so the driver can warn
-    and the run report can show it.
+    dispatch, ``codegen`` on a decomposed port) is not silently dropped:
+    the degradation is recorded in :attr:`fallbacks` so the driver can
+    warn and the run report can show it.
     """
 
     def __init__(
@@ -1096,7 +1060,6 @@ class PlanExecutor:
         fuse: bool = False,
         resilience: Any = None,
         codegen: bool = False,
-        overlap: bool = False,
     ) -> None:
         self.port = port
         self.resilience = resilience
@@ -1116,22 +1079,9 @@ class PlanExecutor:
                 f"'{getattr(port, 'model_name', '?')}' does not support it "
                 f"(supports_codegen=False); running interpreted kernels"
             )
-        self.overlap = bool(overlap) and getattr(port, "supports_overlap", False)
-        if overlap and not self.overlap:
-            self.fallbacks.append(
-                f"overlap requested but port "
-                f"'{getattr(port, 'model_name', '?')}' cannot split "
-                f"interior/boundary sweeps (supports_overlap=False); "
-                f"halo exchanges stay synchronous"
-            )
-        # Imported lazily: the overlap module builds on the IR here.
-        from repro.models.overlap import CommStats, comm_cost_ms, execute_overlap
-
-        #: Deterministic exposed/hidden communication ledger for this
-        #: executor's runs (surfaced as ``RunResult.comm``).
+        #: Deterministic communication ledger for this executor's runs
+        #: (surfaced as ``RunResult.comm``).
         self.comm = CommStats()
-        self._comm_cost_ms = comm_cost_ms
-        self._execute_overlap = execute_overlap
         #: Per-(names, depth) modelled wire cost, so per-step accounting
         #: is a dict lookup instead of a decomposition walk.
         self._halo_costs: dict[tuple, float] = {}
@@ -1146,11 +1096,11 @@ class PlanExecutor:
         Used at a field's death point: any later read before the next
         definition surfaces as a non-finite guard failure instead of a
         silently stale value.  The arrays are those the kernels use on
-        each of ``port.overlap_chunks()`` (the port itself, or the
+        each of ``port.chunks()`` (the port itself, or the
         chunk ports of a decomposed one).  The host mirrors of the
         poisoned fields are dropped, exactly as for a checkpoint restore.
         """
-        for chunk in self.port.overlap_chunks():
+        for chunk in self.port.chunks():
             for name in names:
                 chunk._device_array(name).fill(math.nan)
         self.port.invalidate_residency(names)
@@ -1161,7 +1111,7 @@ class PlanExecutor:
         if cost is None:
             traffic = getattr(self.port, "halo_wire_traffic", None)
             nbytes, messages = traffic(names, depth) if traffic else (0, 0)
-            cost = self._comm_cost_ms(nbytes, messages)
+            cost = comm_cost_ms(nbytes, messages)
             self._halo_costs[key] = cost
         return cost
 
@@ -1172,9 +1122,7 @@ class PlanExecutor:
         port = self.port
         m = self.resilience
         env = {} if env is None else env
-        for step in plan.compiled(
-            self.fuse, m is not None, self.codegen, self.overlap
-        ):
+        for step in plan.compiled(self.fuse, m is not None, self.codegen):
             if isinstance(step, CompiledKernel):
                 # Late-bound scalars are the only per-execution variation;
                 # plans without them replay the pre-resolved arg vectors.
@@ -1220,22 +1168,6 @@ class PlanExecutor:
             elif isinstance(step, HaloStep):
                 port.update_halo(step.names, depth=step.depth)
                 self._record_halo(plan.name, step)
-            elif isinstance(step, OverlapStep):
-                if step.has_binds:
-                    argv = tuple(
-                        self._resolve(c.args, env) for c in step.calls
-                    )
-                else:
-                    argv = step.argv
-                results = self._execute_overlap(
-                    port, step, argv, self.comm, plan.name
-                )
-                for call, value in zip(step.calls, results):
-                    self._store(call, value, env)
-                if m is not None:
-                    m.note_writes(step.halo.names)
-                    for call, args in zip(step.calls, argv):
-                        m.note_writes(call.spec.written(args))
             elif isinstance(step, ScalarStep):
                 value = step.fn(env)
                 if step.finite:

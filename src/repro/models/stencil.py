@@ -115,29 +115,21 @@ def region_stencil(I, Im, Ip, J, Jm, Jp) -> Stencil:
 
 
 @functools.lru_cache(maxsize=1024)
-def row_span(
-    h: int, nx: int, r0: int, r1: int, c0: int = 0, c1: int | None = None
-) -> tuple[int, int, Stencil]:
+def row_span(h: int, nx: int, r0: int, r1: int) -> tuple[int, int, Stencil]:
     """``(start, length, stencil)`` of interior rows ``[r0, r1)`` as a span.
 
     The run ``[start, start + length)`` of a flattened C-ordered array
-    with row pitch ``nx + 2h`` holds the band's interior cells of
-    columns ``[c0, c1)`` (all ``nx`` by default) and the cells between
-    its rows; ``stencil`` is that run and its four shifts.  Reads reach
-    rows ``[h + r0 - 1, h + r1]`` only.  Cached: the OpenMP slabs ask
-    for the same few bands on every sweep.
+    with row pitch ``nx + 2h`` holds the band's interior cells (and the
+    halo cells between its rows); ``stencil`` is that run and its four
+    shifts.  Reads reach rows ``[h + r0 - 1, h + r1]`` only.  Cached:
+    the OpenMP slabs ask for the same few bands on every sweep.
     """
     pitch = nx + 2 * h
-    start = (h + r0) * pitch + h + c0
-    length = (r1 - r0 - 1) * pitch + (nx if c1 is None else c1) - c0
+    start = (h + r0) * pitch + h
+    length = (r1 - r0 - 1) * pitch + nx
     return start, length, Stencil(
         *(slice(start + d, start + d + length) for d in (0, 1, -1, pitch, -pitch))
     )
-
-
-def flattens(a: np.ndarray, pitch: int) -> bool:
-    """Whether ``a`` is C-contiguous with rows of ``pitch`` cells."""
-    return a.ndim == 2 and a.shape[1] == pitch and a.flags.c_contiguous
 
 
 def flat(a: np.ndarray, pitch: int) -> np.ndarray:
@@ -147,7 +139,7 @@ def flat(a: np.ndarray, pitch: int) -> np.ndarray:
     length other than ``pitch`` moves every neighbour, so both are
     refused here rather than computed wrong.
     """
-    if not flattens(a, pitch):
+    if a.ndim != 2 or a.shape[1] != pitch or not a.flags.c_contiguous:
         raise ValueError(
             f"a span needs a C-contiguous array with rows of {pitch} cells, "
             f"got shape {a.shape} with strides {a.strides}"

@@ -92,6 +92,14 @@ class TestErrors:
             ("*tea\nstate 1 density=1\n*endtea", "needs density and energy"),
             ("*tea\nstate 1 density=1 energy=1 shape=disc\n*endtea", "unknown state key"),
             ("*tea\nstate 1 density=1 energy=1\nbogus_key=3\n*endtea", "unknown deck key"),
+            # A misspelt or retired bare flag is an unknown key, not a
+            # key missing its value.
+            ("*tea\nstate 1 density=1 energy=1\ntl_fuse_kernel\n*endtea",
+             "unknown deck key 'tl_fuse_kernel'"),
+            ("*tea\nstate 1 density=1 energy=1\ntl_overlap\n*endtea",
+             "unknown deck key 'tl_overlap'"),
+            ("*tea\nstate 1 density=1 energy=1\ntl_eps\n*endtea",
+             "expected 'key value', got 'tl_eps'"),
             ("*tea\nstate 1 density=1 energy=1\nx_cells=abc\n*endtea", "bad integer"),
             ("*tea\nstate 1 density=1 energy=1\ntl_eps=zzz\n*endtea", "bad number"),
             ("*tea\nstate 2 density=1 energy=1 geometry=rectangle xmax=1 ymax=1\n*endtea",

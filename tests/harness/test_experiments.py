@@ -36,7 +36,6 @@ class TestAllChecksPass:
             "fig10",
             "fig11",
             "fig12",
-            "halo_overlap",
         ],
     )
     def test_experiment_checks(self, results, eid):

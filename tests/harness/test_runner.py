@@ -36,7 +36,7 @@ class TestRunner:
     def test_ids(self):
         assert experiment_ids() == [
             "table1", "table2", "fig8", "fig9", "fig10", "fig11", "fig12",
-            "rank_resilience", "codegen_speedup", "halo_overlap",
+            "rank_resilience", "codegen_speedup",
         ]
 
     def test_unknown_experiment(self):

@@ -10,6 +10,7 @@ serve every port and grid).
 """
 
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,28 @@ def test_codegen_combined_with_all_flags_bitwise():
         np.testing.assert_array_equal(run["u"], reference["u"], err_msg=model)
         assert run["per_step"] == reference["per_step"], model
         assert run["summary"] == reference["summary"], model
+
+
+def test_flag_matrix_is_one_bit_pattern():
+    """All eight combinations of (fuse, codegen, resilient) on the
+    reference model produce one bit pattern."""
+    base = None
+    for fu, cg, rs in itertools.product((False, True), repeat=3):
+        deck = dataclasses.replace(
+            default_deck(n=48, end_step=2),
+            tl_fuse_kernels=fu,
+            tl_codegen=cg,
+            tl_resilient=rs,
+        )
+        app = TeaLeaf(deck, model=REFERENCE_MODEL)
+        app.run()
+        u = app.field(F.U)
+        if base is None:
+            base = u
+        else:
+            np.testing.assert_array_equal(
+                u, base, err_msg=f"fuse={fu} codegen={cg} resilient={rs}"
+            )
 
 
 def test_decomposed_port_falls_back_to_interpreted():

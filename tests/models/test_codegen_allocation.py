@@ -14,10 +14,6 @@ allowed.
 ``step.fn`` is called directly: ``dispatch_compiled`` would also append
 the launch to the port's trace, which grows on its own schedule.
 ``tea_leaf_init`` and ``set_field`` run once per timestep and are left out.
-The ops the overlap executor splits are also pinned phase by phase: the
-``sweep`` over the interior core, as it runs while an exchange is in
-flight, over 2-D slices and over the core's span, and the ``tail`` over
-the whole interior.
 """
 
 import tracemalloc
@@ -29,7 +25,6 @@ from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.models import codegen
-from repro.models.overlap import RegionSlices, SpanSlices, interior_partition
 from repro.models.plan import KernelCall
 
 #: Per-iteration ops with arguments that make each body run for real.
@@ -53,19 +48,9 @@ CALLS = (
 )
 
 
-#: The ops with a region sweep, which the overlap executor splits.
-SPLIT = tuple(c for c in CALLS if codegen.OP_DEFS[c.op].sweep is not None)
-
-
 def test_every_per_iteration_template_is_pinned():
     skipped = {"tea_leaf_init", "set_field"}
     assert {c.op for c in CALLS} == set(codegen.OP_DEFS) - skipped
-    assert {c.op for c in SPLIT} == {
-        "tea_leaf_residual",
-        "cg_calc_w",
-        "cheby_iterate",
-        "ppcg_precon_inner",
-    }
 
 
 @pytest.fixture(
@@ -89,45 +74,18 @@ def warm_ctx(request):
     return ctx
 
 
-def _warm_peak_in_interior_arrays(ctx, run) -> float:
-    """Peak traced bytes of the second of two calls, in interior arrays."""
-    run()
+@pytest.mark.parametrize("call", CALLS, ids=lambda c: c.op)
+def test_warm_call_peaks_below_one_interior_array(warm_ctx, call):
+    ctx = warm_ctx
+    step = codegen.lower_steps([call])[0]
+    step.fn(ctx, step.argv)
     tracemalloc.start()
     try:
-        run()
+        step.fn(ctx, step.argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / (ctx.nx * ctx.ny * np.dtype(np.float64).itemsize)
-
-
-@pytest.mark.parametrize("call", CALLS, ids=lambda c: c.op)
-def test_warm_call_peaks_below_one_interior_array(warm_ctx, call):
-    step = codegen.lower_steps([call])[0]
-    peak = _warm_peak_in_interior_arrays(
-        warm_ctx, lambda: step.fn(warm_ctx, step.argv)
-    )
-    assert peak < 1.0, f"{call.op} peaked at {peak:.2f} interior arrays"
-
-
-#: ``sweep`` over the core's 2-D slices, ``span_sweep`` over its span.
-CORE_VIEWS = {"sweep": RegionSlices, "span_sweep": SpanSlices}
-
-
-@pytest.mark.parametrize("phase", ["sweep", "span_sweep", "tail"])
-@pytest.mark.parametrize("call", SPLIT, ids=lambda c: c.op)
-def test_warm_overlap_phase_peaks_below_one_interior_array(
-    warm_ctx, call, phase
-):
-    ctx = warm_ctx
-    d = codegen.OP_DEFS[call.op]
-    if phase in CORE_VIEWS:
-        region = interior_partition(ctx.ny, ctx.nx, 1)[0]
-        core = CORE_VIEWS[phase](ctx, region)
-        run = lambda: d.sweep(ctx, core, call.args)  # noqa: E731
-    else:
-        run = lambda: d.tail(ctx, call.args)  # noqa: E731
-    peak = _warm_peak_in_interior_arrays(ctx, run)
-    assert peak < 1.0, (
-        f"{call.op} {phase} peaked at {peak:.2f} interior arrays"
+    interior = ctx.nx * ctx.ny * np.dtype(np.float64).itemsize
+    assert peak < interior, (
+        f"{call.op} peaked at {peak / interior:.2f} interior arrays"
     )

@@ -38,16 +38,43 @@ def test_single_chunk_golden(precon, golden):
     assert u_sha(app) == golden
 
 
-@pytest.mark.parametrize("overlap", [False, True], ids=["sync", "overlap"])
-@pytest.mark.parametrize(
-    "models",
-    [["openmp-f90"] * 4, ["cuda", "openmp-f90", "kokkos", "opencl"]],
-    ids=["openmp-f90", "heterogeneous"],
-)
-def test_four_rank_golden(models, overlap):
-    deck = dataclasses.replace(parse_deck_file(DECK), tl_overlap=overlap)
-    app = TeaLeaf(deck, port=MultiChunkPort(deck.grid(), 4, model=models))
-    result = app.run()
-    assert result.fallbacks == []
-    assert (result.comm["overlap_steps"] > 0) == overlap
+#: Deck flags of the 4-rank cases: the deck as shipped, whose exchanges
+#: are all synchronous, and with fusion and residency.  A decomposed port
+#: does not fuse, so fusion is refused with a recorded fallback.
+FOUR_RANK_FLAGS = {
+    "sync": {},
+    "fuse_residency": {"tl_fuse_kernels": True, "tl_residency_tracking": True},
+}
+FOUR_RANK_MODELS = {
+    "openmp-f90": ["openmp-f90"] * 4,
+    "heterogeneous": ["cuda", "openmp-f90", "kokkos", "opencl"],
+}
+
+
+def four_rank_run(models, **flags):
+    deck = dataclasses.replace(parse_deck_file(DECK), **flags)
+    port = MultiChunkPort(deck.grid(), 4, model=models)
+    app = TeaLeaf(deck, port=port)
+    return app, app.run()
+
+
+@pytest.mark.parametrize("flags", list(FOUR_RANK_FLAGS))
+@pytest.mark.parametrize("models", list(FOUR_RANK_MODELS))
+def test_four_rank_golden(models, flags):
+    app, result = four_rank_run(FOUR_RANK_MODELS[models], **FOUR_RANK_FLAGS[flags])
+    refusal = (
+        f"fuse requested but port '{app.port.model_name}' does not support "
+        f"it (supports_fusion=False); running unfused kernels"
+    )
+    assert result.fallbacks == ([refusal] if flags == "fuse_residency" else [])
     assert u_sha(app) == "1601909ead9d3c83"
+
+
+def test_four_rank_comm_ledger():
+    """Every exchange is synchronous, so its whole modelled wire time is
+    exposed: 252 exchanges and 2.0717 ms on the shipped deck."""
+    _, result = four_rank_run(FOUR_RANK_MODELS["openmp-f90"])
+    comm = result.comm
+    assert comm["halo_steps"] == 252
+    assert comm["exposed_ms"] == pytest.approx(2.0717056000000085, rel=1e-12)
+    assert comm["comm_ms"] == comm["exposed_ms"]

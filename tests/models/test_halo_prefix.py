@@ -36,7 +36,6 @@ from repro.models.plan import (
     GuardStep,
     HaloStep,
     KernelCall,
-    OverlapStep,
     Plan,
     render_step,
 )
@@ -117,15 +116,6 @@ class TestPrefixPass:
     def test_unfused_plans_keep_every_refresh(self):
         for plan in (CG_ITER_HEAD, CHEBY_HEAD, CHEBY_STEP, JACOBI_RESIDUAL):
             assert plan.compiled(fuse=False) == list(plan.steps)
-
-    def test_overlap_takes_precedence(self):
-        (step,) = CG_ITER_HEAD.compiled(fuse=True, overlap=True)
-        assert isinstance(step, OverlapStep)
-        # cheby_init has no region sweep: no overlap pair, and no prefix.
-        assert kinds(CHEBY_HEAD.compiled(fuse=True, overlap=True)) == [
-            "HaloStep",
-            "KernelCall",
-        ]
 
     def test_prefix_needs_a_stencil_read_of_every_refreshed_field(self):
         with pytest.raises(ModelError, match="illegal halo prefix"):

@@ -13,6 +13,7 @@ from repro.models.plan import (
     OPS,
     BarrierStep,
     Bind,
+    CommStats,
     FusedGroup,
     HaloStep,
     KernelCall,
@@ -254,6 +255,24 @@ class TestExecutor:
         ex = executor_for(proxy)
         assert ex is not inner.plan_executor
         assert ex.port is proxy
+
+
+class TestCommStats:
+    def test_sync_halo_is_fully_exposed(self):
+        stats = CommStats()
+        stats.record_halo("p", ("x",), 2, comm_ms=1.5)
+        d = stats.as_dict()
+        assert d["comm_ms"] == d["exposed_ms"] == pytest.approx(1.5)
+        assert d["halo_steps"] == 1
+        assert d["sites"][0]["depth"] == 2
+
+    def test_sites_aggregate_by_key(self):
+        stats = CommStats()
+        for _ in range(10):
+            stats.record_halo("p", ("u",), 1, comm_ms=0.1)
+        d = stats.as_dict()
+        assert len(d["sites"]) == 1
+        assert d["sites"][0]["count"] == 10
 
 
 class TestFusionAcrossHalos:

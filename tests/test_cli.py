@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,17 @@ class TestRun:
         out = capsys.readouterr().out
         assert "step   1" in out
         assert "trace:" in out
+        assert "comm:" not in out
+
+    def test_ranked_run_prints_the_exposed_comm(self, capsys):
+        deck = Path(__file__).resolve().parents[1] / "decks" / "tea_bm_short.in"
+        rc = main(["run", str(deck), "--ranks", "4"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            "comm: 2.0717 ms modelled wire time over 252 synchronous "
+            "exchanges, all exposed"
+        ) in lines
 
     def test_with_model_and_solver(self, capsys):
         rc = main(["run", "--mesh", "16", "--steps", "1", "--model", "cuda",
