@@ -22,13 +22,18 @@ class Side(Enum):
     UP = "up"
 
 
-def _edge_slices(a: np.ndarray, h: int, depth: int, side: Side, ghost: bool):
+def edge_slices(
+    shape: tuple[int, int], h: int, depth: int, side: Side, ghost: bool
+) -> tuple[slice, slice]:
     """Slices selecting the edge strip: interior layers or ghost layers.
 
-    For x sides the strip spans all rows (halo corners included) so that
-    the subsequent y exchange carries corner data onward.
+    ``shape`` is the padded array's.  For x sides the strip spans all
+    rows (halo corners included) so that the subsequent y exchange
+    carries corner data onward.
     """
-    ny, nx = a.shape[0] - 2 * h, a.shape[1] - 2 * h
+    if not (1 <= depth <= h):
+        raise ReproError(f"depth must be in [1, {h}], got {depth}")
+    ny, nx = shape[0] - 2 * h, shape[1] - 2 * h
     if side is Side.LEFT:
         cols = slice(h - depth, h) if ghost else slice(h, h + depth)
         return slice(None), cols
@@ -46,23 +51,18 @@ def _edge_slices(a: np.ndarray, h: int, depth: int, side: Side, ghost: bool):
 
 def pack_edge(a: np.ndarray, h: int, depth: int, side: Side) -> np.ndarray:
     """Copy the outermost ``depth`` interior layers on ``side`` into a buffer."""
-    if not (1 <= depth <= h):
-        raise ReproError(f"depth must be in [1, {h}], got {depth}")
-    rows, cols = _edge_slices(a, h, depth, side, ghost=False)
-    return a[rows, cols].copy().ravel()
+    return a[edge_slices(a.shape, h, depth, side, ghost=False)].flatten()
 
 
 def unpack_edge(a: np.ndarray, h: int, depth: int, side: Side, buffer: np.ndarray) -> None:
     """Fill the ghost layers on ``side`` from a neighbour's packed buffer."""
-    if not (1 <= depth <= h):
-        raise ReproError(f"depth must be in [1, {h}], got {depth}")
-    rows, cols = _edge_slices(a, h, depth, side, ghost=True)
-    target = a[rows, cols]
+    strip = edge_slices(a.shape, h, depth, side, ghost=True)
+    target = a[strip]
     if buffer.size != target.size:
         raise ReproError(
             f"halo buffer of {buffer.size} values does not fit strip of {target.size}"
         )
-    a[rows, cols] = buffer.reshape(target.shape)
+    a[strip] = buffer.reshape(target.shape)
 
 
 def reflect_side(a: np.ndarray, h: int, depth: int, side: Side) -> None:

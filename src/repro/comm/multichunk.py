@@ -15,22 +15,32 @@ coefficients on internal edges from the exchanged density halos, restoring
 the exact global operator (conservation tests verify this to the last
 bit of the solver tolerance).
 
+Exchange schedule: which chunk sends which edge strip to which neighbour
+under which tag, and which ghost strip each message fills or which
+physical side is reflected, depends only on the decomposition and the
+halo depth.  Each axis's schedule is built once per (decomposition,
+depth), as OP2 builds its halo import/export lists once at partitioning,
+and every exchange walks it.
+
 Rank-level fault tolerance: chunks are *logical* — ``rank_of_chunk`` maps
 each chunk to the physical communicator rank currently computing it, so a
 spare rank can adopt a dead rank's chunk without renumbering neighbours.
 Every exchange starts with a liveness check (``RankFailureError`` instead
 of a deadlock when a peer is dead), a straggler timeout drains and retries
 the exchange once, and buddy checkpointing / spare-or-shrink recovery is
-delegated to :class:`~repro.resilience.ranks.RankRecovery`.
+delegated to :class:`~repro.resilience.ranks.RankRecovery`.  The schedule
+names logical chunks, so only a shrink's re-decomposition rebuilds it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.comm.communicator import Communicator
 from repro.comm.decomposition import ChunkWindow, decompose
-from repro.comm.halo import Side, pack_edge, reflect_side, unpack_edge
+from repro.comm.halo import Side, edge_slices, reflect_side
 from repro.core import fields as F
 from repro.core.chunk import Chunk
 from repro.core.grid import Grid2D
@@ -39,6 +49,7 @@ from repro.models.plan import KernelCall
 from repro.models.tracing import Trace
 from repro.util.errors import CommTimeoutError, ModelError, RankFailureError
 from repro.util.retry import RetryPolicy, call_with_retries
+from repro.util.units import DOUBLE
 
 #: Message tags: (axis, direction) -> tag base; field index is added.
 _TAGS = {
@@ -49,6 +60,40 @@ _TAGS = {
 }
 
 _FIELD_TAG = {name: i for i, name in enumerate(F.FIELD_ORDER)}
+
+#: The two exchange axes, x first, each as its (lo, hi) sides.
+_AXES = ((Side.LEFT, Side.RIGHT), (Side.DOWN, Side.UP))
+
+
+class _Send(NamedTuple):
+    """One message: ``chunk`` packs its ``edge`` strip for ``nbr``.
+
+    ``tag`` is the sending side's tag base; the field's index is added.
+    """
+
+    chunk: int
+    nbr: int
+    tag: int
+    edge: tuple[slice, slice]
+    cells: int
+
+
+class _Recv(NamedTuple):
+    """One side of ``chunk``: a neighbour's message, or a wall.
+
+    With a neighbour, the ``ghost`` strip, of shape ``strip``, is filled
+    from the message ``nbr`` sent under ``tag``, the opposite side's tag
+    base.  Without one (``nbr`` is None) the physical ``side`` is
+    reflected.
+    """
+
+    chunk: int
+    nbr: int | None
+    tag: int
+    ghost: tuple[slice, slice] | None
+    strip: tuple[int, int] | None
+    side: Side
+    cells: int
 
 
 class MultiChunkPort(Port):
@@ -106,6 +151,8 @@ class MultiChunkPort(Port):
         ]
         self._dt = 0.0
         self._coefficient = "conductivity"
+        #: Halo depth -> both axes' exchange schedules (:meth:`_schedule`).
+        self._schedules: dict[int, tuple] = {}
         #: Optional resilience FaultPlan; when set, outgoing halo messages
         #: may be dropped, delayed or corrupted (see :meth:`attach_fault_plan`).
         self.fault_plan = None
@@ -213,6 +260,7 @@ class MultiChunkPort(Port):
             make_port(m, sg, self.trace)
             for m, sg in zip(models, self.subgrids)
         ]
+        self._schedules = {}
 
     # ------------------------------------------------------------------ #
     # data interface
@@ -272,14 +320,55 @@ class MultiChunkPort(Port):
     # ------------------------------------------------------------------ #
     def update_halo(self, names, depth: int) -> None:
         self._check_ranks()
+        axes = self._schedule(depth)
         for name in names:
-            for lo, hi in ((Side.LEFT, Side.RIGHT), (Side.DOWN, Side.UP)):
+            for sends, recvs in axes:
                 self._retry_exchange(
-                    lambda name=name, lo=lo, hi=hi: self._exchange_axis(
-                        name, depth, lo, hi
+                    lambda name=name, sends=sends, recvs=recvs: (
+                        self._exchange_axis(name, depth, sends, recvs)
                     ),
                     name,
                 )
+
+    def _schedule(self, depth: int) -> tuple:
+        """Both axes' ``(sends, recvs)`` at ``depth``, built once."""
+        axes = self._schedules.get(depth)
+        if axes is None:
+            axes = self._schedules[depth] = tuple(
+                self._axis_schedule(depth, lo, hi) for lo, hi in _AXES
+            )
+        return axes
+
+    def _axis_schedule(self, depth: int, lo: Side, hi: Side) -> tuple:
+        """One axis's messages and sides, in exchange order.
+
+        Sends go chunk by chunk, each chunk's lo side first; then each
+        chunk receives, or reflects, its lo and then its hi side.
+        """
+        h = self.h
+        sends: list[_Send] = []
+        recvs: list[_Recv] = []
+        for window, sg in zip(self.windows, self.subgrids):
+            shape = sg.shape
+            # x strips span all rows and y strips all columns (pack_edge).
+            strip = (shape[0], depth) if lo is Side.LEFT else (depth, shape[1])
+            cells = strip[0] * strip[1]
+            for side in (lo, hi):
+                nbr = self._neighbour(window, side)
+                if nbr is not None:
+                    edge = edge_slices(shape, h, depth, side, ghost=False)
+                    sends.append(_Send(window.rank, nbr, _TAGS[side], edge, cells))
+            for side, opposite in ((lo, hi), (hi, lo)):
+                nbr = self._neighbour(window, side)
+                if nbr is None:
+                    wall = depth * max(shape)
+                    recvs.append(_Recv(window.rank, None, 0, None, None, side, wall))
+                else:
+                    ghost = edge_slices(shape, h, depth, side, ghost=True)
+                    recvs.append(
+                        _Recv(window.rank, nbr, _TAGS[opposite], ghost, strip, side, cells)
+                    )
+        return tuple(sends), tuple(recvs)
 
     def _retry_exchange(self, fn, name: str) -> None:
         """Run one exchange leg under the straggler-timeout retry policy."""
@@ -316,73 +405,54 @@ class MultiChunkPort(Port):
     def halo_wire_traffic(self, names, depth: int) -> tuple[int, int]:
         """Modelled (bytes, messages) for one exchange of ``names``.
 
-        One message per internal chunk edge per field; x-side buffers
-        span all rows (corner layers included) and y-side buffers all
-        columns, matching :func:`repro.comm.halo.pack_edge`.
+        One message per internal chunk edge per field: the sends of the
+        exchange schedule, each as many float64 as its strip has cells.
         """
-        h = self.h
-        nbytes = 0
-        messages = 0
-        for window, sg in zip(self.windows, self.subgrids):
-            for side in (Side.LEFT, Side.RIGHT, Side.DOWN, Side.UP):
-                if self._neighbour(window, side) is None:
-                    continue
-                span = (
-                    sg.ny + 2 * h
-                    if side in (Side.LEFT, Side.RIGHT)
-                    else sg.nx + 2 * h
-                )
-                messages += 1
-                nbytes += span * depth * 8
+        sends = [send for axis, _ in self._schedule(depth) for send in axis]
         n = len(tuple(names))
-        return (nbytes * n, messages * n)
+        return (sum(s.cells for s in sends) * DOUBLE * n, len(sends) * n)
 
     def _neighbour(self, window: ChunkWindow, side: Side) -> int | None:
         # Each Side's value names the ChunkWindow field holding that neighbour.
         return getattr(window, side.value)
 
-    def _exchange_axis(self, name: str, depth: int, lo: Side, hi: Side) -> None:
+    def _exchange_axis(self, name: str, depth: int, sends, recvs) -> None:
         """One axis of exchange: post all sends, then receive/unpack."""
-        h = self.h
         field_tag = _FIELD_TAG[name]
+        ports, rank_of_chunk, world = self.ports, self.rank_of_chunk, self.world
+        plan = self.fault_plan
         # Post sends (pack kernels).
-        for window, port in zip(self.windows, self.ports):
-            arr = port._device_array(name)
-            src = self.rank_of_chunk[window.rank]
-            comm = self.world.rank(src)
-            for side in (lo, hi):
-                nbr = self._neighbour(window, side)
-                if nbr is None:
+        for chunk, nbr, tag, edge, cells in sends:
+            port = ports[chunk]
+            src = rank_of_chunk[chunk]
+            dst = rank_of_chunk[nbr]
+            tag += field_tag
+            # flatten() always copies: a corrupt fault NaN-fills the
+            # message in place and must never reach the sender's array.
+            buffer = port._device_array(name)[edge].flatten()
+            port._launch("halo_pack", cells=cells)
+            if plan is not None:
+                verdict = plan.halo_verdict(name, buffer)
+                if verdict == "drop":
+                    continue  # lost on the wire: receiver deadlocks
+                if verdict == "delay":
+                    # Straggler: the receive will miss its deadline.
+                    world.post_late(src, dst, tag)
                     continue
-                dst = self.rank_of_chunk[nbr]
-                tag = _TAGS[side] + field_tag
-                buffer = pack_edge(arr, h, depth, side)
-                port._launch("halo_pack", cells=buffer.size)
-                if self.fault_plan is not None:
-                    verdict = self.fault_plan.halo_verdict(name, buffer)
-                    if verdict == "drop":
-                        continue  # lost on the wire: receiver deadlocks
-                    if verdict == "delay":
-                        # Straggler: the receive will miss its deadline.
-                        self.world.post_late(src, dst, tag)
-                        continue
-                comm.Send(buffer, dest=dst, tag=tag)
+            world.rank(src).Send(buffer, dest=dst, tag=tag)
         # Receive and unpack (or reflect at the physical boundary).
-        for window, port in zip(self.windows, self.ports):
+        for chunk, nbr, tag, ghost, strip, side, cells in recvs:
+            port = ports[chunk]
             arr = port._device_array(name)
-            comm = self.world.rank(self.rank_of_chunk[window.rank])
-            for side, opposite in ((lo, hi), (hi, lo)):
-                nbr = self._neighbour(window, side)
-                if nbr is None:
-                    reflect_side(arr, h, depth, side)
-                    port._launch("halo_update", cells=depth * max(arr.shape))
-                else:
-                    buffer = comm.Recv(
-                        source=self.rank_of_chunk[nbr],
-                        tag=_TAGS[opposite] + field_tag,
-                    )
-                    unpack_edge(arr, h, depth, side, buffer)
-                    port._launch("halo_unpack", cells=buffer.size)
+            if nbr is None:
+                reflect_side(arr, self.h, depth, side)
+                port._launch("halo_update", cells=cells)
+            else:
+                buffer = world.rank(rank_of_chunk[chunk]).Recv(
+                    source=rank_of_chunk[nbr], tag=tag + field_tag
+                )
+                arr[ghost] = buffer.reshape(strip)
+                port._launch("halo_unpack", cells=cells)
 
     # ------------------------------------------------------------------ #
     # kernels: run on every chunk, allreduce the reductions

@@ -321,6 +321,14 @@ _FLOAT_KEYS = {
     "tl_eps",
     "tl_abft_tolerance",
 }
+#: Flags set by naming them alone on a line (like the solver flags).
+_BARE_FLAGS = {
+    "tl_resilient",
+    "tl_fuse_kernels",
+    "tl_residency_tracking",
+    "tl_codegen",
+    "tl_poison_dead_fields",
+}
 _IGNORED_KEYS = {
     # accepted-and-ignored reference-deck keys, kept so real tea.in files load
     "tl_use_fortran_kernels",
@@ -362,15 +370,7 @@ def parse_deck(text: str) -> Deck:
         if lowered in SOLVER_FLAGS:
             values["solver"] = SOLVER_FLAGS[lowered]
             continue
-        if lowered == "tl_resilient":
-            values["tl_resilient"] = True
-            continue
-        if lowered in (
-            "tl_fuse_kernels",
-            "tl_residency_tracking",
-            "tl_codegen",
-            "tl_poison_dead_fields",
-        ):
+        if lowered in _BARE_FLAGS:
             values[lowered] = True
             continue
         if lowered in _IGNORED_KEYS:
@@ -380,6 +380,10 @@ def parse_deck(text: str) -> Deck:
         key = tokens[0].lower()
         if key in _IGNORED_KEYS:
             continue
+        if key in SOLVER_FLAGS or key in _BARE_FLAGS:
+            raise DeckError(
+                f"line {lineno}: deck flag '{key}' takes no value, got '{line}'"
+            )
         # An unknown key is reported as such, even on a bare flag line.
         if key not in _STR_KEYS and key not in _INT_KEYS and key not in _FLOAT_KEYS:
             raise DeckError(f"line {lineno}: unknown deck key '{key}'")

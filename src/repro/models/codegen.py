@@ -32,8 +32,10 @@ The per-iteration definitions allocate nothing the size of the mesh.
 Each ufunc writes through ``out=``: a result lands straight in its
 destination field's interior view, and an intermediate in the context's
 scratch, one block of three rows of ``ny * P`` floats (``P = nx + 2h``,
-the row pitch).  ``A v``, ``beta p + src`` and ``cg_calc_ur`` run over
-the interior's span (:func:`~repro.models.stencil.row_span`): every
+the row pitch) from :func:`~repro.models.stencil.scratch`, the pool the
+OpenMP-C loop bodies draw on too.  ``A v``, ``beta p + src`` and
+``cg_calc_ur`` run over the interior's span
+(:func:`~repro.models.stencil.row_span`): every
 operand is a 1-D slice of a flattened field, so each ufunc streams
 contiguous memory (at 256², one ufunc costs about 90 µs through strided
 views of the padded fields and 53 µs over the same cells as one run).
@@ -59,7 +61,6 @@ iterations.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -85,12 +86,8 @@ from repro.models.stencil import (
     matvec_into,
     region_stencil,
     row_span,
+    scratch,
 )
-
-
-#: Scratch blocks by ``(ny, nx, pitch)``, shared by every context of
-#: that geometry and freed with the last of them.
-_SCRATCH: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class CodegenContext:
@@ -108,11 +105,10 @@ class CodegenContext:
     views at the row heads; ``spans`` are the rows' first ``length``
     cells, indexed like the fields' interior run :attr:`span`; and
     ``pitched`` are ``(ny, nx)`` views of the spans' interior cells, for
-    the write-back.
-    Every context of one geometry shares the block, so ports of one
-    geometry keep one scratch footprint in cache rather than one each.
-    That relies on no two ports being driven from two threads at once;
-    nothing in ``src/`` does that.
+    the write-back.  The views hold the block, so the pool keeps it
+    while the context lives; every context and OpenMP-family port of
+    one geometry shares it, and keeps one scratch footprint in cache
+    rather than one each.
     """
 
     __slots__ = (
@@ -138,9 +134,7 @@ class CodegenContext:
         self.Jm = slice(h - 1, h + nx - 1)
         self.at = region_stencil(self.I, self.Im, self.Ip, self.J, self.Jm, self.Jp)
         _, length, self.span = row_span(h, nx, 0, ny)
-        block = _SCRATCH.get((ny, nx, pitch))
-        if block is None:
-            block = _SCRATCH[(ny, nx, pitch)] = np.empty((3, ny * pitch))
+        block = scratch(ny, pitch)
         self.T0, self.T1, self.T2 = (b[: ny * nx].reshape(ny, nx) for b in block)
         self.spans = tuple(b[:length] for b in block)
         self.pitched = tuple(b.reshape(ny, pitch)[:, :nx] for b in block)

@@ -21,10 +21,19 @@ race-free.  It is also what lets
 slab ``[0, ny)``: the per-thread chunks give the same bits in any order.
 Within those rows the stencil may read any column: :func:`matvec_slab`
 runs over the slab's span (:func:`~repro.models.stencil.row_span`), whose
-gap cells between rows read the halo columns and corners, into scratch
-of its own, and keeps only the interior cells.  Update kernels that read
-neighbour values of an array they also write are split into two sweeps
-(matvec sweep, then axpy sweep), mirroring the reference kernels.
+gap cells between rows read the halo columns and corners, and keeps only
+the interior cells.  Update kernels that read neighbour values of an
+array they also write are split into two sweeps (matvec sweep, then axpy
+sweep), mirroring the reference kernels.
+
+The bodies of the CG iteration (:func:`matvec_slab`,
+:func:`cg_calc_ur_slab`, :func:`cg_calc_p_slab`) sweep the span through
+``out=`` into the slab geometry's block of
+:func:`~repro.models.stencil.scratch`, with the ufuncs, operands and order
+of the generated ``cg_calc_ur`` and ``calc_p``, and write each field once
+through its interior view.  A port holds its geometry's block, so those
+sweeps allocate nothing; a reduction body still returns a fresh
+contribution vector, which callers may keep past the next call.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from repro.models.stencil import (
     matvec_into,
     row_diag,
     row_span,
+    scratch,
 )
 
 
@@ -46,6 +56,23 @@ def _rows(h: int, r0: int, r1: int, dk: int = 0) -> slice:
 
 def _cols(h: int, nx: int, dj: int = 0) -> slice:
     return slice(h + dj, h + nx + dj)
+
+
+def _slab_scratch(h: int, nx: int, r0: int, r1: int):
+    """``(pitch, length, stencil, block)`` of interior rows ``[r0, r1)``.
+
+    ``length`` and ``stencil`` are the rows' span (:func:`row_span`);
+    ``block`` is the rows' scratch block, whose rows' first ``length``
+    cells each hold one span.
+    """
+    pitch = nx + 2 * h
+    _, length, at = row_span(h, nx, r0, r1)
+    return pitch, length, at, scratch(r1 - r0, pitch)
+
+
+def _interior(row: np.ndarray, rows: int, pitch: int, nx: int) -> np.ndarray:
+    """A scratch row's span's interior cells, as a ``(rows, nx)`` view."""
+    return row.reshape(rows, pitch)[:, :nx]
 
 
 def matvec_slab(
@@ -60,17 +87,15 @@ def matvec_slab(
 ) -> None:
     """out[slab] = A v over interior rows [r0, r1).
 
-    Evaluated over the slab's span into slab-sized scratch allocated per
-    call; ``out`` is written once, through its interior view.
+    Evaluated over the slab's span in scratch; ``out`` is written once,
+    through its interior view.
     """
-    pitch = nx + 2 * h
-    _, length, at = row_span(h, nx, r0, r1)
-    av = np.empty((r1 - r0, pitch))
+    pitch, length, at, block = _slab_scratch(h, nx, r0, r1)
     matvec_into(
         flat(v, pitch), flat(kx, pitch), flat(ky, pitch), at,
-        av.reshape(-1)[:length], np.empty(length), np.empty(length),
+        block[0, :length], block[1, :length], block[2, :length],
     )
-    out[_rows(h, r0, r1), _cols(h, nx)] = av[:, :nx]
+    out[_rows(h, r0, r1), _cols(h, nx)] = _interior(block[0], r1 - r0, pitch, nx)
 
 
 def tea_leaf_init_slab(
@@ -189,12 +214,18 @@ def cg_calc_ur_slab(
     r1: int,
 ) -> np.ndarray:
     """u += alpha p; r -= alpha w; returns per-cell rrn contributions."""
+    pitch, length, at, block = _slab_scratch(h, nx, r0, r1)
     I = _rows(h, r0, r1)
     J = _cols(h, nx)
-    u[I, J] += alpha * p[I, J]
-    r[I, J] -= alpha * w[I, J]
-    rr = r[I, J]
-    return (rr * rr).ravel()
+    su, sr = block[0, :length], block[1, :length]
+    np.multiply(alpha, flat(p, pitch)[at.c], out=su)
+    np.add(flat(u, pitch)[at.c], su, out=su)
+    u[I, J] = _interior(block[0], r1 - r0, pitch, nx)
+    np.multiply(alpha, flat(w, pitch)[at.c], out=sr)
+    np.subtract(flat(r, pitch)[at.c], sr, out=sr)
+    rr = _interior(block[1], r1 - r0, pitch, nx)
+    r[I, J] = rr
+    return np.multiply(rr, rr).ravel()
 
 
 def cg_calc_p_slab(
@@ -207,9 +238,11 @@ def cg_calc_p_slab(
     r1: int,
 ) -> None:
     """p = r + beta p."""
-    I = _rows(h, r0, r1)
-    J = _cols(h, nx)
-    p[I, J] = r[I, J] + beta * p[I, J]
+    pitch, length, at, block = _slab_scratch(h, nx, r0, r1)
+    out = block[0, :length]
+    np.multiply(beta, flat(p, pitch)[at.c], out=out)
+    np.add(flat(r, pitch)[at.c], out, out=out)
+    p[_rows(h, r0, r1), _cols(h, nx)] = _interior(block[0], r1 - r0, pitch, nx)
 
 
 def cheby_init_slab(

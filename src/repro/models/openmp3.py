@@ -30,6 +30,7 @@ from repro.models.base import (
     register_model,
 )
 from repro.models.openmp.runtime import DEFAULT_NUM_THREADS, OpenMPRuntime
+from repro.models.stencil import scratch
 from repro.models.tracing import Trace
 from repro.util.errors import ModelError
 
@@ -62,6 +63,9 @@ class OpenMP3Port(Port):
         self._host_fields: dict[str, np.ndarray] = {
             name: grid.allocate() for name in F.FIELD_ORDER
         }
+        #: The team's slab geometry's scratch block, held so that the
+        #: loop bodies' sweeps reuse it instead of allocating their own.
+        self._scratch_block = scratch(grid.ny, grid.nx + 2 * self.h)
         self._rx = 0.0
         self._ry = 0.0
 

@@ -33,11 +33,15 @@ serve both ways of reaching the operands:
   view of the result.  :func:`flat` is the one place an array becomes a
   span's operand, and it refuses any array whose rows are not ``P``
   contiguous cells, where a flat shift would name the wrong neighbour.
+
+A span's results land in :func:`scratch`, the one pool of scratch
+blocks that the generated kernels and the OpenMP-C loop bodies share.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -130,6 +134,30 @@ def row_span(h: int, nx: int, r0: int, r1: int) -> tuple[int, int, Stencil]:
     return start, length, Stencil(
         *(slice(start + d, start + d + length) for d in (0, 1, -1, pitch, -pitch))
     )
+
+
+#: Scratch blocks by ``(rows, pitch)``, shared by every holder of that
+#: geometry and freed with the last of them.
+_SCRATCH: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def scratch(rows: int, pitch: int) -> np.ndarray:
+    """The scratch block of ``rows`` rows of pitch ``pitch``.
+
+    Three rows of ``rows * pitch`` floats: each holds one span of those
+    rows (``length <= rows * pitch``) or a ``(rows, pitch)`` array.  The
+    pool keeps a block only while someone holds it: a port holds its
+    geometry's block, so its sweeps allocate nothing, while a caller that
+    holds none gets a block that lives for its call.  Every user writes
+    scratch before it reads it and carries nothing in it between calls,
+    so holders of one geometry share one block.  That relies on no two
+    ports being driven from two threads at once; nothing in ``src/``
+    does that.
+    """
+    block = _SCRATCH.get((rows, pitch))
+    if block is None:
+        block = _SCRATCH[(rows, pitch)] = np.empty((3, rows * pitch))
+    return block
 
 
 def flat(a: np.ndarray, pitch: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.comm.communicator import Communicator
 from repro.comm.multichunk import MultiChunkPort
+from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.models.tracing import Trace
@@ -90,6 +91,47 @@ class TestHaloFaultInjection:
         assert faulty.final_summary.temperature == pytest.approx(
             clean.final_summary.temperature, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "spec, receiver, strip",
+        [
+            # The first x-axis message: chunk 0's right edge fills
+            # chunk 1's left ghost column.
+            ("corrupt:p:1", 1, lambda h: (slice(h, -h), h - 1)),
+            # The first y-axis message: chunk 0's top edge fills
+            # chunk 2's bottom ghost row, corners included.
+            ("corrupt:p:5", 2, lambda h: (h - 1, slice(None))),
+        ],
+        ids=["first-x-message", "first-y-message"],
+    )
+    def test_corrupted_message_changes_only_the_message(self, spec, receiver, strip):
+        """The NaN reaches the receiver's ghosts (and the ghost corners
+        the y exchange forwards them to), never an interior cell, and
+        the sender's array is exactly what a clean exchange leaves."""
+
+        def exchange(inject):
+            port = MultiChunkPort(default_deck(n=16).grid(), 4)
+            rng = np.random.default_rng(11)
+            port.write_field(F.P, rng.random(port.grid.shape) + 1.0)
+            if inject:
+                port.attach_fault_plan(FaultPlan(parse_injections(inject)))
+            before = [c._device_array(F.P).copy() for c in port.ports]
+            port.update_halo((F.P,), 1)
+            return port.h, before, [c._device_array(F.P) for c in port.ports]
+
+        h, before, faulty = exchange(spec)
+        _, _, clean = exchange(None)
+        inner = (slice(h, -h), slice(h, -h))
+        for chunk, (was, got, want) in enumerate(zip(before, faulty, clean)):
+            np.testing.assert_array_equal(
+                got[inner].view(np.uint64), was[inner].view(np.uint64),
+                err_msg=f"chunk {chunk}: interior changed",
+            )
+            moved = got.view(np.uint64) != want.view(np.uint64)
+            assert np.isnan(got[moved]).all(), f"chunk {chunk}: non-NaN change"
+        sender = faulty[0]  # chunk 0 sends both messages
+        np.testing.assert_array_equal(sender.view(np.uint64), clean[0].view(np.uint64))
+        assert np.isnan(faulty[receiver][strip(h)]).all()
 
     def test_unrecovered_drop_is_fatal_without_resilience_budget(self):
         deck = dataclasses.replace(

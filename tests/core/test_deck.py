@@ -100,6 +100,13 @@ class TestErrors:
              "unknown deck key 'tl_overlap'"),
             ("*tea\nstate 1 density=1 energy=1\ntl_eps\n*endtea",
              "expected 'key value', got 'tl_eps'"),
+            # A known bare flag given a value is a flag that takes none.
+            ("*tea\nstate 1 density=1 energy=1\ntl_codegen=true\n*endtea",
+             "flag 'tl_codegen' takes no value"),
+            ("*tea\nstate 1 density=1 energy=1\ntl_use_cg 1\n*endtea",
+             "flag 'tl_use_cg' takes no value"),
+            ("*tea\nstate 1 density=1 energy=1\ntl_resilient on\n*endtea",
+             "flag 'tl_resilient' takes no value"),
             ("*tea\nstate 1 density=1 energy=1\nx_cells=abc\n*endtea", "bad integer"),
             ("*tea\nstate 1 density=1 energy=1\ntl_eps=zzz\n*endtea", "bad number"),
             ("*tea\nstate 2 density=1 energy=1 geometry=rectangle xmax=1 ymax=1\n*endtea",

@@ -1,4 +1,4 @@
-"""The compiled hot path allocates nothing the size of the mesh.
+"""The hot paths allocate nothing the size of the mesh.
 
 TeaLeaf is bandwidth bound, so every interior-sized temporary a generated
 body allocates is bytes moved and cache spilled for nothing.  Generated
@@ -14,6 +14,11 @@ allowed.
 ``step.fn`` is called directly: ``dispatch_compiled`` would also append
 the launch to the port's trace, which grows on its own schedule.
 ``tea_leaf_init`` and ``set_field`` run once per timestep and are left out.
+
+The interpreted OpenMP-family ports run the CG iteration through the
+OpenMP-C loop bodies (:mod:`repro.models.loopbodies`), which sweep into
+the scratch block their port holds; a reduction body allocates only the
+fresh contribution vector it returns.
 """
 
 import tracemalloc
@@ -25,6 +30,8 @@ from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.models import codegen
+from repro.models import loopbodies as lb
+from repro.models.base import make_port
 from repro.models.plan import KernelCall
 
 #: Per-iteration ops with arguments that make each body run for real.
@@ -74,18 +81,62 @@ def warm_ctx(request):
     return ctx
 
 
+def _peak(call) -> int:
+    """Peak traced bytes of one warm ``call()``."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 @pytest.mark.parametrize("call", CALLS, ids=lambda c: c.op)
 def test_warm_call_peaks_below_one_interior_array(warm_ctx, call):
     ctx = warm_ctx
     step = codegen.lower_steps([call])[0]
-    step.fn(ctx, step.argv)
-    tracemalloc.start()
-    try:
-        step.fn(ctx, step.argv)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _peak(lambda: step.fn(ctx, step.argv))
     interior = ctx.nx * ctx.ny * np.dtype(np.float64).itemsize
     assert peak < interior, (
         f"{call.op} peaked at {peak / interior:.2f} interior arrays"
     )
+
+
+#: The OpenMP CG bodies over a whole ``n x n`` port, each with its
+#: allowed peak as a count of contribution vectors plus fixed bytes: the
+#: stencil and ``beta p + r`` allocate none, and ``p.w`` and ``r.r`` at
+#: most twice the vector they return (NumPy may buffer strided operands).
+CG_BODIES = {
+    "matvec_slab": (
+        lambda f, h, n: lb.matvec_slab(f[F.W], f[F.P], f[F.KX], f[F.KY], h, n, 0, n),
+        0, 4096,
+    ),
+    "cg_calc_p_slab": (
+        lambda f, h, n: lb.cg_calc_p_slab(f[F.P], f[F.R], 0.25, h, n, 0, n),
+        0, 4096,
+    ),
+    "cg_calc_w_slab": (
+        lambda f, h, n: lb.cg_calc_w_slab(f[F.W], f[F.P], f[F.KX], f[F.KY], h, n, 0, n),
+        2, 8192,
+    ),
+    "cg_calc_ur_slab": (
+        lambda f, h, n: lb.cg_calc_ur_slab(f[F.U], f[F.R], f[F.P], f[F.W], 0.5, h, n, 0, n),
+        2, 8192,
+    ),
+}
+
+
+@pytest.mark.parametrize("body", list(CG_BODIES))
+def test_openmp_cg_body_allocates_only_its_contributions(body):
+    n = 128
+    port = make_port("openmp-f90", default_deck(n=n).grid())  # holds the scratch
+    f = port.fields
+    rng = np.random.default_rng(5)
+    for name in (F.U, F.R, F.P, F.W, F.KX, F.KY):
+        f[name][...] = rng.random(f[name].shape) + 0.5
+    run, vectors, extra = CG_BODIES[body]
+    bound = vectors * n * n * np.dtype(np.float64).itemsize + extra
+    peak = _peak(lambda: run(f, port.h, n))
+    assert peak < bound, f"{body} peaked at {peak} bytes, bound {bound}"

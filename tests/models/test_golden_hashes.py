@@ -17,6 +17,7 @@ from repro.comm.multichunk import MultiChunkPort
 from repro.core import fields as F
 from repro.core.deck import parse_deck_file
 from repro.core.driver import TeaLeaf
+from repro.harness.goldentrace import trace_signature
 
 DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
 
@@ -78,3 +79,35 @@ def test_four_rank_comm_ledger():
     assert comm["halo_steps"] == 252
     assert comm["exposed_ms"] == pytest.approx(2.0717056000000085, rel=1e-12)
     assert comm["comm_ms"] == comm["exposed_ms"]
+
+
+#: The 4-rank event streams of the deck as shipped: every launch, halo
+#: message, transfer and reduction pass of each chunk, in order.  The
+#: exchange is rebuilt from a schedule, so the stream pins that each
+#: message is packed, sent and unpacked as before.
+FOUR_RANK_SIGNATURES = {
+    "openmp-f90": {
+        "events": 9304,
+        "event_stream_sha256": (
+            "39be8581fb68cfd82f9383987fd1728373b9f39b69bcd7acc4069965dd0d77d7"
+        ),
+        "kernel_launches": 9304,
+        "kernel_bytes": 439_070_720,
+    },
+    "heterogeneous": {
+        "events": 11326,
+        "event_stream_sha256": (
+            "86a29797f9b2f3268cc57bf25d6c1a0381c3da8447961ccd9d6826aaf463baa8"
+        ),
+        "transfers": 1014,
+        "reduction_passes": 1008,
+    },
+}
+
+
+@pytest.mark.parametrize("models", list(FOUR_RANK_SIGNATURES))
+def test_four_rank_trace_signature(models):
+    _, result = four_rank_run(FOUR_RANK_MODELS[models])
+    signature = trace_signature(result.trace)
+    want = FOUR_RANK_SIGNATURES[models]
+    assert {key: signature[key] for key in want} == want
