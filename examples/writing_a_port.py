@@ -140,8 +140,9 @@ def with_kernel_plan() -> None:
     residency tracking from ``Port``.  Solvers hand declarative
     :class:`Plan` objects to a :class:`PlanExecutor`, which is also the
     one place cross-model optimisation happens: below, the PCG tail's
-    precondition + dot pair runs as two launches unfused and as a single
-    fused traversal — with bitwise-identical scalars.
+    precondition + dot pair runs as two interpreted launches unfused and,
+    fused, as one traversal compiled from the ops' NumPy definitions (a
+    fused group always runs compiled) — with bitwise-identical scalars.
     """
     from repro.core import fields as F
     from repro.core.deck import default_deck

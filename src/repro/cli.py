@@ -606,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--fuse", action="store_true",
-        help="fuse adjacent fusable kernel launches (tl_fuse_kernels)",
+        help="fuse adjacent fusable kernel launches (tl_fuse_kernels); "
+             "fused groups run compiled, as with --codegen",
     )
     run.add_argument(
         "--residency", action="store_true",
@@ -640,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument(
         "--fuse", action="store_true",
-        help="compile with fusion on (if the model supports it)",
+        help="compile with fusion on (if the model supports it) and show "
+             "the lowered steps the executor runs",
     )
     plan.add_argument(
         "--codegen", action="store_true",

@@ -110,9 +110,9 @@ class Deck:
     #: exchanges still fail fast on a dead peer).
     tl_heartbeat_interval: int = 10
     #: Let the plan compiler fuse adjacent fusable kernel launches on
-    #: ports that declare fusion legal.  Composes with resilience: fault
-    #: triggers and scalar guards are plan steps placed at fusion-group
-    #: boundaries, so injection/detection never bypass a fused dispatch.
+    #: ports that declare fusion legal and compile; a fused run runs
+    #: compiled kernels, as with tl_codegen.  Composes with resilience:
+    #: fault triggers and scalar guards are plan steps at group edges.
     tl_fuse_kernels: bool = False
     #: Track device-side field residency so clean fields skip the
     #: device->host readback (offload models only; no-op on host models).
@@ -123,7 +123,7 @@ class Deck:
     #: fused group executes as one function composed from the per-op
     #: NumPy definitions (see repro.models.codegen).  Bitwise-identical
     #: to the interpreted path; a port that cannot run it falls back to
-    #: interpreted dispatch with a recorded warning.
+    #: interpreted, unfused dispatch with a recorded warning.
     tl_codegen: bool = False
     #: Debug mode: NaN-fill each work field at the death points the
     #: liveness pass proves (see repro.core.driver.deck_liveness), so any

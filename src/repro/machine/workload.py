@@ -203,6 +203,9 @@ class TracingStubPort(Port):
     in ``OPS`` renames the stub's launches with every real port's.
     """
 
+    #: No arrays for compiled bodies to write: ``tl_codegen`` falls back.
+    supports_codegen = False
+
     def __init__(
         self,
         grid: Grid2D,

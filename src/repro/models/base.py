@@ -19,7 +19,7 @@ from repro.core import fields as F
 from repro.core import operators as ops
 from repro.core.grid import Grid2D
 from repro.core.kernels import KERNELS, KernelSpec
-from repro.models.plan import OPS, HaloStep, KernelCall, fused_spec
+from repro.models.plan import OPS, KernelCall
 from repro.models.tracing import Trace, TransferDirection
 from repro.util.errors import ModelError
 
@@ -80,8 +80,11 @@ class Port(ABC):
     #: Registry name of the model this port belongs to (set by subclasses).
     model_name: str = "?"
 
-    #: Whether :class:`~repro.models.plan.PlanExecutor` may hand this port
-    #: fused kernel groups (single-traversal elementwise models opt in).
+    #: Whether :class:`~repro.models.plan.PlanExecutor` may fuse kernel
+    #: groups on this port (single-traversal elementwise models opt in).
+    #: A fused group only runs compiled, so fusion also needs
+    #: :attr:`supports_codegen`; without it the executor records a
+    #: fallback and runs unfused.
     supports_fusion: bool = False
 
     #: Whether the executor may run codegen-lowered plans against this
@@ -254,45 +257,15 @@ class Port(ABC):
             self._mark_dirty(written)
         return result
 
-    def dispatch_fused(
-        self,
-        calls: tuple[KernelCall, ...],
-        spec: KernelSpec | None = None,
-        halo: HaloStep | None = None,
-    ) -> list:
-        """Run a fused group as one traced launch.
-
-        The member bodies execute sequentially in original order, so the
-        arithmetic (and every reduction, still on ``deterministic_sum``)
-        is bitwise-identical to dispatching them separately; only the
-        launch/traversal count changes.  The executor passes the group's
-        precomputed ``spec``; synthesising it here per dispatch made
-        ``--fuse`` a net wall-time loss on fast ports.  A ``halo``
-        prefix is refreshed inside the same launch, before the members.
-        """
-        if spec is None:
-            spec = fused_spec(calls)
-        self._launch(spec.name, spec=spec)
-        if halo is not None:
-            self._reflect(halo.names, halo.depth)
-        results = []
-        for call in calls:
-            op = OPS[call.op]
-            results.append(self._primitive(call.op)(*call.args))
-            written = op.written(call.args)
-            if written:
-                self._mark_dirty(written)
-        return results
-
     def dispatch_compiled(self, step, argv: tuple[tuple, ...]) -> tuple:
         """Run one codegen-lowered step (see :mod:`repro.models.codegen`).
 
         The compiled function reads and writes the port's device arrays
         directly, so trace launches, reduction epilogues and residency
         dirtying are replayed here from the step's pre-recorded
-        accounting — exactly the events the interpreted dispatch would
-        emit.  A halo prefix is refreshed inside the same launch, before
-        the members.
+        accounting — exactly the events the interpreted dispatch of a
+        lone call would emit, or a fused group's one launch.  A halo
+        prefix is refreshed inside the same launch, before the members.
         """
         for kernel_name, spec in step.launches:
             self._launch(kernel_name, spec=spec)

@@ -8,7 +8,8 @@ further: each :class:`~repro.models.plan.KernelCall` — or whole
 :class:`~repro.models.plan.FusedGroup` — becomes **one Python function**
 composed from :data:`OP_DEFS`, which holds one plain NumPy definition per
 operation: a straight chain of whole-interior ufunc calls.  No per-cell
-frames, no per-slab dispatch, no per-call method lookups.
+frames, no per-slab dispatch, no per-call method lookups.  A fused group
+has no other body: every group the executor runs is lowered here.
 
 Bitwise contract
 ----------------
@@ -390,22 +391,22 @@ def _lower(
 
 
 def lower_steps(steps: list) -> list:
-    """Lower every kernel call / fused group in a compiled step list.
+    """Lower every kernel call with a definition, and every fused group.
 
     Halo, scalar, barrier, fault and guard steps pass through unchanged —
     codegen only replaces kernel *bodies*, so instrumentation points and
-    execution order are exactly those of the interpreted plan.  A fused
-    group's halo prefix stays with it: ``Port.dispatch_compiled``
-    refreshes the halo before the members, as ``dispatch_fused`` does.
+    execution order are exactly those of the interpreted plan.  Every
+    member of a legal group has a definition: ``field_summary`` is not
+    fusable and ``jacobi_iterate`` is refused as compound.  A group's
+    halo prefix stays with it: ``Port.dispatch_compiled`` refreshes the
+    halo inside the group's launch, before the members.
     """
     out: list = []
     for step in steps:
         if isinstance(step, KernelCall) and step.op in OP_DEFS:
             names = OP_DEFS[step.op].launches or (OPS[step.op].kernel,)
             out.append(_lower((step,), tuple((n, None) for n in names)))
-        elif isinstance(step, FusedGroup) and all(
-            c.op in OP_DEFS for c in step.calls
-        ):
+        elif isinstance(step, FusedGroup):
             out.append(
                 _lower(step.calls, ((step.spec.name, step.spec),), step.halo)
             )

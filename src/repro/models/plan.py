@@ -16,12 +16,12 @@ optimisation:
 
 * **Fusion** (``Plan.compiled(fuse=True)``): adjacent fusable kernels whose
   stencil reads do not overlap earlier writes in the group are merged into
-  one :class:`FusedGroup`, dispatched as a single traversal.  Reductions
-  stay on the canonical ``deterministic_sum`` path and the member bodies
-  run in original order, so results are bitwise-identical to the unfused
-  plan.  A halo refresh whose fields the next traversal stencil-reads
-  becomes that traversal's prefix, traced as part of its one launch
-  (:func:`_prefix_halos`).
+  one :class:`FusedGroup`, which codegen lowers to a single launch.
+  Reductions stay on the canonical ``deterministic_sum`` path and the
+  member bodies run in original order, so results are bitwise-identical
+  to the unfused plan.  A halo refresh whose fields the next traversal
+  stencil-reads becomes that traversal's prefix, traced as part of its
+  one launch (:func:`_prefix_halos`).
 * **Residency tracking**: executed plans report written fields to the
   port's dirty-set adapter, letting offload ports elide redundant
   host<->device transfers (see ``Port.enable_residency_tracking``).
@@ -289,15 +289,14 @@ class BarrierStep:
 
 @dataclass(frozen=True)
 class FusedGroup:
-    """Adjacent fusable kernel calls dispatched as one traversal.
+    """Adjacent fusable kernel calls run as one traversal.
 
-    The synthesised launch spec and the Bind scan are computed once at
-    construction (compile) time: ``dispatch_fused`` used to rebuild the
-    spec — read/write set walks, a :class:`KernelSpec`, a string join —
-    on *every* execution, which made ``--fuse`` a measurable wall-time
-    regression on fast ports despite dispatching fewer launches.
-    Construction also audits the member dataflow (:func:`audit_fusion`),
-    so an illegal group cannot be built at all.
+    Compile-time IR only: codegen lowers every group to one
+    :class:`CompiledKernel` (see :func:`repro.models.codegen.lower_steps`),
+    which traces the group's one launch under :attr:`spec`.  The spec is
+    synthesised once, at construction, and construction also audits the
+    member dataflow (:func:`audit_fusion`), so an illegal group cannot be
+    built at all.
 
     ``halo`` is a reflective refresh the traversal runs as its prefix
     (see :func:`_prefix_halos`): it is traced as part of the group's one
@@ -310,9 +309,6 @@ class FusedGroup:
     halo: HaloStep | None = None
     #: Launch spec (compile-time constant for the group).
     spec: KernelSpec = field(init=False, repr=False, compare=False)
-    #: True when any member has a late-bound scalar argument; groups
-    #: without one skip per-execution argument resolution entirely.
-    has_binds: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         audit_fusion(self.calls)
@@ -326,11 +322,6 @@ class FusedGroup:
             fused_spec(self.calls)
             if len(self.calls) > 1
             else self.calls[0].spec.spec(),
-        )
-        object.__setattr__(
-            self,
-            "has_binds",
-            any(isinstance(a, Bind) for c in self.calls for a in c.args),
         )
 
 
@@ -375,9 +366,9 @@ class CompiledKernel:
     members' NumPy definitions into one function that runs every member
     body as vectorised NumPy over the port's device arrays — no per-cell
     Python frames, no per-slab dispatch.  ``launches`` pre-records the trace
-    events the interpreted path would have emitted (one launch per member
-    call, or the single fused launch), so launch accounting is identical
-    either way.  ``argv`` holds the members' static argument tuples;
+    events: those the interpreted dispatch of a lone call emits, or the
+    group's single fused launch, so launch accounting matches the
+    interpreted run.  ``argv`` holds the members' static argument tuples;
     executions only re-resolve them when ``has_binds`` is set.
     """
 
@@ -403,19 +394,19 @@ Step = Any  # KernelCall | HaloStep | ... | FusedGroup | FaultStep | GuardStep
 _COMPOUND_OPS = frozenset({"jacobi_iterate"})
 
 
-def audit_fusion(calls: tuple[KernelCall, ...]) -> None:
-    """Dataflow audit of a (candidate) fused group; raises on a hazard.
+def fusion_reason(calls: tuple[KernelCall, ...]) -> str | None:
+    """Why ``calls`` may NOT run as one traversal — ``None`` when legal.
 
     Member bodies execute in original order *per cell*, so same-cell
     read-after-write (a member reading a field an earlier member wrote)
     and write-after-write (two members writing the same field) are both
     legal — the later body observes exactly the values the unfused
-    sequence would produce.  The two genuine hazards are the *stencil*
+    sequence would produce.  The genuine hazards are the *stencil*
     orderings: a member's neighbour read of any field another member
     writes, in either direction, would observe mid-traversal state on a
-    cell-parallel port.  ``_can_fuse`` refuses such candidates during
-    compilation; this audit re-checks every constructed group (including
-    hand-built ones in tests), making an illegal group unrepresentable.
+    cell-parallel port.  A member whose late-bound scalar (:class:`Bind`)
+    an earlier member's reduction produces must stay out too: the scalar
+    does not exist until the group completes.
 
     A group of one call fuses nothing, so its op need not be fusable (a
     halo prefix may lead a lone Chebyshev sweep) — unless the op's
@@ -425,19 +416,17 @@ def audit_fusion(calls: tuple[KernelCall, ...]) -> None:
     for idx, cand in enumerate(calls):
         spec = cand.spec
         if cand.op in _COMPOUND_OPS:
-            raise ModelError(
-                f"illegal fusion: '{cand.op}' dispatches more than one "
-                f"operation, so it cannot run inside a group"
+            return (
+                f"'{cand.op}' dispatches more than one operation, so it "
+                f"cannot run inside a group"
             )
         if not spec.fusable and len(calls) > 1:
-            raise ModelError(
-                f"illegal fusion: '{cand.op}' is not a fusable operation"
-            )
+            return f"'{cand.op}' is not a fusable operation"
         for arg in cand.args:
             if isinstance(arg, Bind) and arg.key in outs:
-                raise ModelError(
-                    f"illegal fusion: '{cand.op}' binds ${arg.key}, "
-                    f"produced by an earlier member of the same group"
+                return (
+                    f"'{cand.op}' binds ${arg.key}, produced by an earlier "
+                    f"member of the same group"
                 )
         if cand.out is not None:
             outs.add(cand.out)
@@ -447,17 +436,27 @@ def audit_fusion(calls: tuple[KernelCall, ...]) -> None:
             o_spec = other.spec
             o_writes = set(o_spec.written(other.args))
             if cand_stencil & o_writes:
-                raise ModelError(
-                    f"illegal fusion: '{cand.op}' stencil-reads "
+                return (
+                    f"'{cand.op}' stencil-reads "
                     f"{sorted(cand_stencil & o_writes)} written by "
                     f"'{other.op}' in the same group"
                 )
             if set(o_spec.stencil_reads) & cand_writes:
-                raise ModelError(
-                    f"illegal fusion: '{other.op}' stencil-reads "
+                return (
+                    f"'{other.op}' stencil-reads "
                     f"{sorted(set(o_spec.stencil_reads) & cand_writes)} "
                     f"written later by '{cand.op}' in the same group"
                 )
+    return None
+
+
+def audit_fusion(calls: tuple[KernelCall, ...]) -> None:
+    """Raise on a group :func:`fusion_reason` refuses: every constructed
+    group, hand-built ones included, is re-checked, so an illegal group
+    is unrepresentable."""
+    reason = fusion_reason(calls)
+    if reason is not None:
+        raise ModelError(f"illegal fusion: {reason}")
 
 
 def prefix_reason(halo: HaloStep, calls: tuple[KernelCall, ...]) -> str | None:
@@ -467,18 +466,13 @@ def prefix_reason(halo: HaloStep, calls: tuple[KernelCall, ...]) -> str | None:
     every refreshed field: on a single-chunk port each ghost cell the
     5-point stencil reads mirrors the very cell that reads it, so running
     the refresh first for each cell gives the bits of a separate launch.
+    The calls must also be legal as one traversal.
     """
     stencil = {n for c in calls for n in c.spec.stencil_reads}
     missing = set(halo.names) - stencil
     if missing:
         return f"no member stencil-reads {sorted(missing)}"
-    for call in calls:
-        if call.op in _COMPOUND_OPS:
-            return (
-                f"'{call.op}' dispatches more than one operation, so it "
-                f"cannot run inside a group"
-            )
-    return None
+    return fusion_reason(calls)
 
 
 def fused_spec(calls: tuple[KernelCall, ...]) -> KernelSpec:
@@ -521,35 +515,6 @@ def fused_spec(calls: tuple[KernelCall, ...]) -> KernelSpec:
 # --------------------------------------------------------------------- #
 # the plan
 # --------------------------------------------------------------------- #
-def _can_fuse(group: list[KernelCall], cand: KernelCall) -> bool:
-    """True when ``cand`` may join ``group`` in one traversal.
-
-    Legality: no member's writes may feed the candidate's *stencil* reads
-    (neighbour cells would see updated values mid-traversal) and vice
-    versa; same-cell dataflow is safe because members run in order per
-    cell.  A candidate whose late-bound scalar (:class:`Bind`) is produced
-    by a group member's reduction must also stay out — the scalar does not
-    exist until the group completes.
-    """
-    spec = cand.spec
-    if not spec.fusable:
-        return False
-    cand_writes = set(spec.written(cand.args))
-    cand_stencil = set(spec.stencil_reads)
-    outs = {m.out for m in group if m.out is not None}
-    for m in group:
-        m_spec = m.spec
-        m_writes = set(m_spec.written(m.args))
-        if cand_stencil & m_writes:
-            return False
-        if set(m_spec.stencil_reads) & cand_writes:
-            return False
-    for arg in cand.args:
-        if isinstance(arg, Bind) and arg.key in outs:
-            return False
-    return True
-
-
 def _guard_for(call: KernelCall) -> GuardStep | None:
     """The detection step the instrumentation pass places after ``call``.
 
@@ -666,9 +631,10 @@ class Plan:
         :func:`_prefix_halos`); ``instrument`` weaves resilience
         fault/guard steps around the result (see :func:`_instrument`),
         and ``codegen`` finally lowers the remaining plain kernel calls
-        and fused groups to composed NumPy functions
+        and every fused group to composed NumPy functions
         (:mod:`repro.models.codegen`), leaving halo/scalar/guard steps
-        interpreted.
+        interpreted.  The executor compiles with ``fuse`` only together
+        with ``codegen``, so it never runs a :class:`FusedGroup` itself.
         """
         key = (bool(fuse), bool(instrument), bool(codegen))
         cached = self._compiled.get(key)
@@ -705,7 +671,7 @@ class Plan:
 
         for step in self.steps:
             if isinstance(step, KernelCall) and step.spec.fusable:
-                if group and not _can_fuse(group, step):
+                if group and fusion_reason((*group, step)) is not None:
                     flush()
                 group.append(step)
                 spec = step.spec
@@ -765,7 +731,8 @@ def render_step(step: Step) -> str:
             parts.insert(0, f"prefix {render_step(step.halo)}")
         inner = "; ".join(parts)
         if isinstance(step, CompiledKernel):
-            return f"compiled[{len(step.calls)}]  {{ {inner} }}"
+            names = ", ".join(name for name, _ in step.launches)
+            return f"compiled[{len(step.calls)}] {names}  {{ {inner} }}"
         return f"fused[{len(step.calls)}] {step.spec.name}  {{ {inner} }}"
     if isinstance(step, KernelCall):
         op = step.spec
@@ -1035,12 +1002,12 @@ class CommStats:
 class PlanExecutor:
     """Replays compiled plans against one port.
 
-    With fusion off every :class:`KernelCall` goes through the port's
+    Interpreted, every :class:`KernelCall` goes through the port's
     *public* kernel method — preserving the per-model trace structure and
-    any wrapper a harness has installed (lockstep comparison).  With
-    fusion on, eligible groups dispatch through ``port.dispatch_fused``
-    as one traced launch whose member bodies run in original order, so
-    results stay bitwise-identical.
+    any wrapper a harness has installed (lockstep comparison).  Compiled
+    (``codegen``), lowered steps run through ``port.dispatch_compiled``.
+    Fusion exists only there: ``fuse`` is granted on a port that both
+    fuses and compiles, and it turns ``codegen`` on.
 
     With a resilience manager attached the executor compiles the
     *instrumented* plan variant (fault triggers + scalar guards at fusion
@@ -1049,9 +1016,9 @@ class PlanExecutor:
     capture.  Without one, the disabled path pays exactly nothing.
 
     A flag a port cannot honour (``fuse`` on a port without fused
-    dispatch, ``codegen`` on a decomposed port) is not silently dropped:
-    the degradation is recorded in :attr:`fallbacks` so the driver can
-    warn and the run report can show it.
+    dispatch or without codegen, ``codegen`` on a decomposed port) is not
+    silently dropped: the degradation is recorded in :attr:`fallbacks` so
+    the driver can warn and the run report can show it.
     """
 
     def __init__(
@@ -1065,14 +1032,22 @@ class PlanExecutor:
         self.resilience = resilience
         #: Requested-but-unsupported flag degradations, in request order.
         self.fallbacks: list[str] = []
-        self.fuse = bool(fuse) and getattr(port, "supports_fusion", False)
-        if fuse and not self.fuse:
+        fuses = getattr(port, "supports_fusion", False)
+        compiles = getattr(port, "supports_codegen", False)
+        self.fuse = bool(fuse) and fuses and compiles
+        if fuse and not fuses:
             self.fallbacks.append(
                 f"fuse requested but port "
                 f"'{getattr(port, 'model_name', '?')}' does not support it "
                 f"(supports_fusion=False); running unfused kernels"
             )
-        self.codegen = bool(codegen) and getattr(port, "supports_codegen", False)
+        elif fuse and not self.fuse:
+            self.fallbacks.append(
+                f"fuse requested but port "
+                f"'{getattr(port, 'model_name', '?')}' cannot compile its "
+                f"fused groups (supports_codegen=False); running unfused kernels"
+            )
+        self.codegen = (bool(codegen) or self.fuse) and compiles
         if codegen and not self.codegen:
             self.fallbacks.append(
                 f"codegen requested but port "
@@ -1140,25 +1115,6 @@ class PlanExecutor:
                 if m is not None:
                     for call, args in zip(step.calls, argv):
                         m.note_writes(call.spec.written(args))
-            elif isinstance(step, FusedGroup):
-                # The spec and the Bind scan are compile-time constants on
-                # the group; only plans with late-bound scalars pay the
-                # per-execution call rebuild.
-                if step.has_binds:
-                    calls = tuple(
-                        KernelCall(c.op, self._resolve(c.args, env), c.out, c.finite)
-                        for c in step.calls
-                    )
-                else:
-                    calls = step.calls
-                results = port.dispatch_fused(calls, step.spec, step.halo)
-                if step.halo is not None:
-                    self._record_halo(plan.name, step.halo)
-                for call, value in zip(calls, results):
-                    self._store(call, value, env)
-                if m is not None:
-                    for call in calls:
-                        m.note_writes(call.spec.written(call.args))
             elif isinstance(step, KernelCall):
                 args = self._resolve(step.args, env)
                 value = getattr(port, step.op)(*args)

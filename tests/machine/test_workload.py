@@ -128,6 +128,26 @@ class TestSynthesisGuards:
         with pytest.raises(MachineError):
             port.write_field("u", None)
 
+    def test_codegen_deck_falls_back_on_the_stub(self, capsys):
+        """The stub has no arrays for compiled bodies: a codegen deck
+        records the fallback and traces exactly the plain deck's events."""
+        import dataclasses
+
+        from repro.harness.goldentrace import trace_signature
+
+        deck = default_deck(n=64, solver="cg", end_step=1)
+        wl = SolveWorkload("cg", (StepPlan(outer=20),))
+        plain = synthesize_solve_trace("cuda", deck, wl)
+        capsys.readouterr()
+        compiled = synthesize_solve_trace(
+            "cuda", dataclasses.replace(deck, tl_codegen=True), wl
+        )
+        assert (
+            "codegen requested but port 'tracing-stub' does not support it "
+            "(supports_codegen=False)"
+        ) in capsys.readouterr().err
+        assert trace_signature(compiled) == trace_signature(plain)
+
     def test_prescribed_iterations_are_exact(self):
         """The stub converges at exactly the planned iteration count."""
         deck = default_deck(n=16, solver="cg", end_step=1, eps=1e-8)

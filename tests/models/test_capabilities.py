@@ -132,6 +132,13 @@ class TestPortContract:
             assert cls.begin_solve is Port.begin_solve, name
             assert cls.end_solve is Port.end_solve, name
 
+    def test_fusing_ports_compile(self):
+        # A fused group only runs lowered: a port that fuses must also
+        # run compiled kernels, or every --fuse run would fall back.
+        for name, port in self.registered_ports().items():
+            if port.supports_fusion:
+                assert port.supports_codegen, name
+
     def test_fusing_ports_refresh_halos_reflectively(self):
         # A halo prefix runs Port._reflect inside the consumer's launch;
         # that gives the separate launch's bits only while the port's

@@ -116,7 +116,7 @@ def test_codegen_combined_with_all_flags_bitwise():
 
 def test_flag_matrix_is_one_bit_pattern():
     """All eight combinations of (fuse, codegen, resilient) on the
-    reference model produce one bit pattern."""
+    reference model produce one bit pattern; fusion runs compiled."""
     base = None
     for fu, cg, rs in itertools.product((False, True), repeat=3):
         deck = dataclasses.replace(
@@ -127,6 +127,7 @@ def test_flag_matrix_is_one_bit_pattern():
         )
         app = TeaLeaf(deck, model=REFERENCE_MODEL)
         app.run()
+        assert app.executor.codegen == (fu or cg)
         u = app.field(F.U)
         if base is None:
             base = u

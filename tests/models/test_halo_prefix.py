@@ -6,11 +6,11 @@ refreshed field (``plan._prefix_halos``).  On the single-chunk ports that
 fuse, each ghost cell the 5-point stencil reads mirrors the cell that
 reads it, so the prefix changes no bit: these tests pin the solution,
 the iteration trajectory, the residual histories and the summaries
-against the unfused run on every fusing port and solver — interpreted
-and compiled, plain, under fault injection with recovery, and under
-dead-field poison — and pin that each prefixed refresh costs exactly one
-launch less while the comm ledger and the checkpoint write journal still
-count it.
+against the unfused interpreted run on every fusing port and solver —
+plain, under fault injection with recovery, and under dead-field poison
+(a fused run always runs compiled) — and pin that each prefixed refresh
+costs exactly one launch less while the comm ledger and the checkpoint
+write journal still count it.
 """
 
 import dataclasses
@@ -168,7 +168,8 @@ class TestPrefixPass:
         )
         (lowered,) = CG_ITER_HEAD.compiled(fuse=True, codegen=True)
         assert render_step(lowered).startswith(
-            "compiled[1]  { prefix update_halo(p, depth=1); pw = cg_calc_w()"
+            "compiled[1] cg_calc_w  { prefix update_halo(p, depth=1); "
+            "pw = cg_calc_w()"
         )
 
 
@@ -180,7 +181,8 @@ class TestPrefixPass:
 def test_refresh_lands_before_the_members(model, codegen):
     """The boundary faces' coefficients are zero, so a stale ghost only
     shows when it is not finite: NaN ghosts make ``p.w`` NaN unless the
-    prefix refreshes them before ``cg_calc_w`` reads them."""
+    prefix refreshes them before ``cg_calc_w`` reads them.  The fused run
+    always runs compiled; ``codegen`` picks the unfused reference's path."""
     from repro.models.plan import PlanExecutor
 
     out = {}
@@ -192,6 +194,7 @@ def test_refresh_lands_before_the_members(model, codegen):
         for ghosts in (np.s_[:h, :], np.s_[-h:, :], np.s_[:, :h], np.s_[:, -h:]):
             p[ghosts] = np.nan
         ex = PlanExecutor(app.port, fuse=fuse, codegen=codegen)
+        assert ex.codegen is (fuse or codegen)
         launches = app.trace.kernel_launches()
         env = ex.run(CG_ITER_HEAD)
         out[fuse] = (
@@ -245,7 +248,7 @@ def _clear_compiled_plans():
 @pytest.fixture(scope="module")
 def prefix_runs():
     """Per fusing port, setup and flag family: the unfused run, the fused
-    run interpreted and compiled, and the fused run without prefixes."""
+    run, and the fused run without prefixes."""
     runs = {}
     for model in FUSING_MODELS:
         for setup in SETUPS:
@@ -256,9 +259,6 @@ def prefix_runs():
                     if family == "poison"
                     else solve(model, setup, **flags),
                     "fused": solve(model, setup, tl_fuse_kernels=True, **flags),
-                    "compiled": solve(
-                        model, setup, tl_fuse_kernels=True, tl_codegen=True, **flags
-                    ),
                 }
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plan_module, "_prefix_halos", list)
@@ -286,13 +286,11 @@ def test_prefix_is_bitwise_invisible(prefix_runs, setup, family):
         run = prefix_runs[model, setup, family]
         base = run["unfused"]
         assert base["fallbacks"] == []
-        for variant in ("fused", "compiled"):
-            got = run[variant]
-            where = f"{model} {variant}"
-            assert got["fallbacks"] == [], where
-            np.testing.assert_array_equal(got["u"], base["u"], err_msg=where)
-            for key in RESULT_KEYS:
-                assert got[key] == base[key], f"{where}: {key}"
+        got = run["fused"]
+        assert got["fallbacks"] == [], model
+        np.testing.assert_array_equal(got["u"], base["u"], err_msg=model)
+        for key in RESULT_KEYS:
+            assert got[key] == base[key], f"{model}: {key}"
         if family == "resilient":
             assert base["injections"] == 2, model
             assert base["journal"][0] > 0, model
@@ -307,7 +305,6 @@ def test_one_launch_fewer_per_prefixed_halo(prefix_runs, setup):
         prefixed = before["halo_launches"] - after["halo_launches"]
         assert prefixed > 0, model
         assert before["launches"] - after["launches"] == prefixed, model
-        assert run["compiled"]["launches"] == after["launches"], model
         # Every exchange is still one ledger entry, standalone or prefix.
         assert after["halo_steps"] == before["halo_steps"] == run["unfused"][
             "halo_steps"
@@ -325,4 +322,3 @@ def test_only_unread_refreshes_stay_standalone(prefix_runs, setup):
         if setup == "jacobi":
             standalone += run["unfused"]["iterations"]
         assert run["fused"]["halo_launches"] == standalone, model
-        assert run["compiled"]["halo_launches"] == standalone, model

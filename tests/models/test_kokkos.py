@@ -257,6 +257,35 @@ class TestLayoutPolymorphism:
         np.testing.assert_array_equal(app.field(F.U), plain.field(F.U))
         assert KokkosPort(g).supports_codegen
 
+    def test_layout_left_refuses_fusion_for_want_of_codegen(self):
+        """A fused group only runs compiled, so a LayoutLeft port, which
+        fuses but cannot compile, runs unfused and names the reason."""
+        import dataclasses
+
+        from repro.core import fields as F
+        from repro.core.deck import default_deck
+        from repro.core.driver import TeaLeaf
+        from repro.models.kokkos_port import KokkosPort
+
+        deck = default_deck(n=20, solver="cg", end_step=1, eps=1e-9)
+        g = deck.grid()
+        plain = TeaLeaf(deck, port=KokkosPort(g, layout=Layout.LEFT))
+        plain_result = plain.run()
+        app = TeaLeaf(
+            dataclasses.replace(deck, tl_fuse_kernels=True),
+            port=KokkosPort(g, layout=Layout.LEFT),
+        )
+        result = app.run()
+        assert app.port.supports_fusion
+        assert app.executor.fuse is False
+        assert len(result.fallbacks) == 1
+        assert result.fallbacks[0].startswith("fuse requested")
+        assert "(supports_codegen=False)" in result.fallbacks[0]
+        np.testing.assert_array_equal(app.field(F.U), plain.field(F.U))
+        assert (
+            result.trace.kernel_launches() == plain_result.trace.kernel_launches()
+        )
+
     def test_layout_left_strides(self):
         from repro.core.grid import Grid2D
         from repro.models.kokkos_port import _Geometry

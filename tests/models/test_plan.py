@@ -9,6 +9,8 @@ adjacent calls may share a traversal and which must not.
 import pytest
 
 from repro.core import fields as F
+from repro.core.grid import Grid2D
+from repro.models.base import available_models, make_port
 from repro.models.plan import (
     OPS,
     BarrierStep,
@@ -427,12 +429,14 @@ class TestFusionAudit:
 
 class TestWawBitwiseEquivalence:
     def test_waw_group_matches_sequential_dispatch(self):
-        # Two members writing the same fields (w/sd/z twice): fused
-        # execution must equal back-to-back dispatch bit for bit.
+        # Two members writing the same fields (w/sd/z twice): on every
+        # fusing port the lowered group must equal back-to-back
+        # interpreted dispatch bit for bit, in one launch instead of three.
         import numpy as np
 
         from repro.core.deck import default_deck
         from repro.core.driver import TeaLeaf
+        from repro.models.codegen import lower_steps
 
         deck = default_deck(n=24, solver="cg", end_step=1)
         calls = (
@@ -440,21 +444,35 @@ class TestWawBitwiseEquivalence:
             KernelCall("ppcg_precon_init", (4.0,)),
             KernelCall("ppcg_calc_p", (0.5,)),
         )
+        (step,) = lower_steps([FusedGroup(calls)])
 
-        def run(fused):
-            app = TeaLeaf(deck, model="openmp-f90")
+        def run(model, fused):
+            app = TeaLeaf(deck, model=model)
             app.run()
             port = app.port
+            before = app.trace.kernel_launches()
             if fused:
-                port.dispatch_fused(calls, fused_spec(calls))
+                port.dispatch_compiled(step, step.argv)
             else:
                 for c in calls:
                     port.dispatch(c)
-            return {
+            launches = app.trace.kernel_launches() - before
+            fields = {
                 name: port.read_field(name).copy()
                 for name in (F.W, F.SD, F.Z, F.P)
             }
+            return fields, launches
 
-        a, b = run(fused=True), run(fused=False)
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+        fusing = [
+            m
+            for m in available_models()
+            if make_port(m, Grid2D(nx=8, ny=8)).supports_fusion
+        ]
+        assert fusing
+        for model in fusing:
+            (a, na), (b, nb) = run(model, fused=True), run(model, fused=False)
+            assert (na, nb) == (1, 3), model
+            for name in a:
+                np.testing.assert_array_equal(
+                    a[name], b[name], err_msg=f"{model}: {name}"
+                )

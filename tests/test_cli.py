@@ -98,6 +98,22 @@ class TestPlan:
         )
         assert "(fuse=off)" in out and "fuse=on" not in out
 
+    def test_fused_plan_names_the_lowered_launches(self, capsys):
+        # A fused group always runs compiled, so --fuse prints the lowered
+        # steps, each named by the launches it traces.
+        rc = main(["plan", "--model", "cuda", "--fuse", "--mesh", "8"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "# model=cuda solver=cg mesh=8 codegen"
+        assert (
+            "  compiled[1] cg_calc_w  { prefix update_halo(p, depth=1); "
+            "pw = cg_calc_w()   # reduction; writes w }"
+        ) in lines
+        assert any(
+            line.startswith("  compiled[2] fused:set_field+tea_leaf_init  { ")
+            for line in lines
+        )
+
 
 class TestProject:
     def test_breakdown_output(self, capsys):
