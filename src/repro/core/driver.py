@@ -139,10 +139,6 @@ class RunResult:
         return sum(s.solve.iterations for s in self.steps)
 
     @property
-    def total_inner_iterations(self) -> int:
-        return sum(s.solve.inner_iterations for s in self.steps)
-
-    @property
     def final_summary(self) -> FieldSummary | None:
         for s in reversed(self.steps):
             if s.summary is not None:
@@ -202,14 +198,10 @@ class TeaLeaf:
 
             self.solver = ResilientSolver(self.solver, self.resilience)
             # Decomposed ports take comm-level faults and report retried
-            # exchanges; older ports may only accept the fault plan.
+            # exchanges.
             attach = getattr(self.port, "attach_resilience", None)
             if attach is not None:
                 attach(self.resilience)
-            else:
-                attach = getattr(self.port, "attach_fault_plan", None)
-                if attach is not None:
-                    attach(self.resilience.plan)
 
         # Plan execution: every port runs its kernels through one shared
         # executor.  Fusion is opt-in per deck and only honoured by ports

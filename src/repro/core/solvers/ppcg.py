@@ -55,13 +55,6 @@ def polynomial_preconditioner_plan(estimate: EigenEstimate, steps: int) -> Plan:
     return Plan(f"ppcg_precon({steps})", tuple(plan_steps))
 
 
-def apply_polynomial_preconditioner(
-    port: Port, estimate: EigenEstimate, steps: int
-) -> None:
-    """One preconditioner application on a bare port (tests, ablations)."""
-    executor_for(port).run(polynomial_preconditioner_plan(estimate, steps))
-
-
 #: Restart as preconditioned CG: fresh true residual before the first
 #: preconditioner application...
 PPCG_RESTART = Plan(

@@ -13,8 +13,8 @@ This module defines the snapshot format that pins that contract:
   re-deriving the stream by hand.
 
 ``python -m repro.harness.goldentrace --out tests/models/golden_traces``
-regenerates the snapshots; the regression test
-(`tests/models/test_golden_traces.py`) replays the benchmark deck and
+regenerates the snapshots; the differential harness
+(`tests/models/test_equivalence.py`) replays the benchmark deck and
 compares signatures.  Snapshots were captured from the pre-refactor
 imperative ports and must only be regenerated for an intentional,
 reviewed trace change.

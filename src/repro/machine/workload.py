@@ -203,8 +203,10 @@ class TracingStubPort(Port):
     in ``OPS`` renames the stub's launches with every real port's.
     """
 
-    #: No arrays for compiled bodies to write: ``tl_codegen`` falls back.
+    #: No arrays for compiled bodies to write or for poison to fill:
+    #: ``tl_codegen`` and ``tl_poison_dead_fields`` fall back.
     supports_codegen = False
+    supports_poison = False
 
     def __init__(
         self,

@@ -163,12 +163,6 @@ def cuda_dot(ctx, n, pitch, h, nx, a, b, partials):
     partials[: ctx.gridDim_x] = block_reduce_sum(value, ctx.blockDim_x)
 
 
-def cuda_copy(ctx, total, dst, src):
-    idx = ctx.global_idx
-    i = idx[idx < total]
-    dst[i] = src[i]
-
-
 def cuda_finalise(ctx, n, pitch, h, nx, energy, u, density):
     _, i, _, _ = _interior_idx(ctx, n, pitch, h, nx)
     energy[i] = u[i] / density[i]

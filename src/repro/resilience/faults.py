@@ -260,10 +260,6 @@ class FaultPlan:
                 )
         return "deliver"
 
-    def deliver_halo(self, field_name: str, buffer: np.ndarray) -> bool:
-        """Back-compat wrapper over :meth:`halo_verdict` (False == drop)."""
-        return self.halo_verdict(field_name, buffer) != "drop"
-
     def filter_eigen_estimate(self, estimate: "EigenEstimate") -> "EigenEstimate":
         """Count an eigenvalue estimate; corrupt it if an eigen spec is due."""
         from repro.core.solvers.eigenvalue import EigenEstimate

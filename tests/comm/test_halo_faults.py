@@ -50,15 +50,15 @@ class TestHaloFaultInjection:
     def test_plan_drops_exactly_the_chosen_send(self):
         plan = FaultPlan(parse_injections("drop:p:3"))
         buf = np.ones(8)
-        assert plan.deliver_halo("p", buf) is True
-        assert plan.deliver_halo("p", buf) is True
-        assert plan.deliver_halo("p", buf) is False  # third send dropped
-        assert plan.deliver_halo("p", buf) is True  # fires only once
+        assert plan.halo_verdict("p", buf) == "deliver"
+        assert plan.halo_verdict("p", buf) == "deliver"
+        assert plan.halo_verdict("p", buf) == "drop"  # third send dropped
+        assert plan.halo_verdict("p", buf) == "deliver"  # fires only once
 
     def test_plan_corrupts_payload_to_nan(self):
         plan = FaultPlan(parse_injections("corrupt:u:1"))
         buf = np.ones(8)
-        assert plan.deliver_halo("u", buf) is True
+        assert plan.halo_verdict("u", buf) == "deliver"
         assert np.isnan(buf).all()
 
     @pytest.mark.parametrize("spec", ["drop:p:3", "corrupt:p:3"])

@@ -148,6 +148,26 @@ class TestSynthesisGuards:
         ) in capsys.readouterr().err
         assert trace_signature(compiled) == trace_signature(plain)
 
+    def test_poison_deck_falls_back_on_the_stub(self, capsys):
+        """Nor has the stub arrays for poison to fill: a poison deck
+        records the fallback and traces exactly the plain deck's events."""
+        import dataclasses
+
+        from repro.harness.goldentrace import trace_signature
+
+        deck = default_deck(n=64, solver="cg", end_step=1)
+        wl = SolveWorkload("cg", (StepPlan(outer=20),))
+        plain = synthesize_solve_trace("cuda", deck, wl)
+        capsys.readouterr()
+        poisoned = synthesize_solve_trace(
+            "cuda", dataclasses.replace(deck, tl_poison_dead_fields=True), wl
+        )
+        assert (
+            "tl_poison_dead_fields requested but port 'tracing-stub' does not "
+            "support it (supports_poison=False)"
+        ) in capsys.readouterr().err
+        assert trace_signature(poisoned) == trace_signature(plain)
+
     def test_prescribed_iterations_are_exact(self):
         """The stub converges at exactly the planned iteration count."""
         deck = default_deck(n=16, solver="cg", end_step=1, eps=1e-8)

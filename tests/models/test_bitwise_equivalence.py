@@ -1,83 +1,30 @@
-"""Cross-port *bitwise* equivalence on the shipped benchmark deck.
+"""Cross-port bitwise equivalence on the shipped deck.
 
-Stronger than the tolerance-based equivalence tests: with every port
-finalising reductions through the shared deterministic pairwise tree and
-all elementwise kernels written in the same association order, the
-benchmark solve must produce bit-for-bit identical solution fields and
-identical iteration trajectories on every registered model — while each
-port keeps its own trace cost structure (GPU ports still pay their extra
-reduction passes, host ports still pay none).
+These checks are rows of the differential harness (``test_equivalence.py``);
+the ids stay as aliases of the harness checks that make them, and solve
+nothing of their own.
 """
 
-from pathlib import Path
+from tests.models import test_equivalence as harness
+from tests.models.test_equivalence import MODELS, PLAIN, Row
 
-import numpy as np
-import pytest
-
-from repro.core import fields as F
-from repro.core.deck import parse_deck_file
-from repro.core.driver import TeaLeaf
-from repro.models.base import available_models
-from repro.models.tracing import EventKind
-
-DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
-REFERENCE_MODEL = "openmp-f90"
-
-#: Ports whose reduction finalise happens on the host after a device tree
-#: pass (they emit REDUCTION_PASS events); host models must emit none.
-PARTIAL_PASS_MODELS = {"cuda", "opencl"}
+SHIPPED = [Row("shipped", m, PLAIN) for m in MODELS]
 
 
-@pytest.fixture(scope="module")
-def benchmark_runs():
-    """Run tea_bm_short once per registered model (shared across tests)."""
-    deck = parse_deck_file(str(DECK))
-    grid = deck.grid()
-    runs = {}
-    for model in available_models():
-        app = TeaLeaf(deck, model=model)
-        result = app.run()
-        runs[model] = {
-            "u": app.field(F.U)[grid.inner()].copy(),
-            "iterations": result.total_iterations,
-            "per_step": result.iterations_per_step(),
-            "trace": result.trace,
-            "summary": result.steps[-1].summary,
-        }
-    return runs
+def check(self):
+    harness.check(*SHIPPED)
+
+
+def golden_traces(self):
+    # The golden traces pin each port's reduction passes and launches.
+    for model in MODELS:
+        harness.test_golden_trace(model)
 
 
 class TestBitwiseBenchmark:
-    def test_all_ports_bit_identical_u(self, benchmark_runs):
-        reference = benchmark_runs[REFERENCE_MODEL]["u"]
-        for model, run in benchmark_runs.items():
-            np.testing.assert_array_equal(run["u"], reference, err_msg=model)
-
-    def test_iteration_trajectories_identical(self, benchmark_runs):
-        reference = benchmark_runs[REFERENCE_MODEL]["per_step"]
-        for model, run in benchmark_runs.items():
-            assert run["per_step"] == reference, model
-
-    def test_summaries_bit_identical(self, benchmark_runs):
-        reference = benchmark_runs[REFERENCE_MODEL]["summary"]
-        for model, run in benchmark_runs.items():
-            assert run["summary"] == reference, model
-
-    def test_reduction_pass_structure_preserved(self, benchmark_runs):
-        """Determinism must not homogenise the cost model: ports that pay a
-        separate partial-combine pass still trace it, host ports never do."""
-        for model, run in benchmark_runs.items():
-            passes = len(run["trace"].filtered(None, EventKind.REDUCTION_PASS))
-            if model in PARTIAL_PASS_MODELS:
-                assert passes > 0, model
-            else:
-                assert passes == 0, model
-
-    def test_launch_counts_stable_across_ports_of_one_family(self, benchmark_runs):
-        """Identical trajectories imply identical kernel-launch counts for
-        ports sharing a kernel decomposition (the OpenMP directive family)."""
-        launches = {
-            model: len(benchmark_runs[model]["trace"].filtered(None, EventKind.KERNEL))
-            for model in ("openmp-cpp", "openmp4", "openmp45", "openacc")
-        }
-        assert len(set(launches.values())) == 1, launches
+    # Each id names one check the harness makes of every row above.
+    test_all_ports_bit_identical_u = check
+    test_iteration_trajectories_identical = check
+    test_summaries_bit_identical = check
+    test_reduction_pass_structure_preserved = golden_traces
+    test_launch_counts_stable_across_ports_of_one_family = golden_traces

@@ -1,55 +1,19 @@
 """Golden-trace regression: every port's kernel schedule is frozen.
 
-Each JSON snapshot under ``golden_traces/`` was captured from the
-benchmark deck before the ports were collapsed onto the shared dispatch
-core, so these tests pin the *entire observable execution* — event
-stream hash, launch/transfer/flop/byte counters, reduction passes,
-region structure and iteration counts — for all twelve models.  Any
-refactor that reorders, drops, renames or double-counts a kernel
-launch fails here with a first-divergence diagnosis rather than a
-bare hash mismatch.
-
-Regenerate (only after an intentional, reviewed schedule change) with::
-
-    python -m repro.harness.goldentrace --out tests/models/golden_traces
+These checks are rows of the differential harness (``test_equivalence.py``);
+the ids stay as aliases of the harness checks that make them, and solve
+nothing of their own.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
-from repro.core.deck import parse_deck_file
-from repro.core.driver import TeaLeaf
-from repro.harness.goldentrace import GOLDEN_DECK, first_divergence, trace_signature
-
-REPO = Path(__file__).resolve().parents[2]
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden_traces"
-SNAPSHOTS = sorted(GOLDEN_DIR.glob("*.json"))
+from tests.models import test_equivalence as harness
 
 
 def test_snapshots_cover_every_registered_model():
-    from repro.models.base import available_models
-
-    assert {p.stem for p in SNAPSHOTS} == set(available_models())
+    harness.test_golden_traces_cover_every_registered_model()
 
 
-@pytest.mark.parametrize("path", SNAPSHOTS, ids=lambda p: p.stem)
-def test_golden_trace_matches(path):
-    golden = json.loads(path.read_text())
-    deck = parse_deck_file(REPO / GOLDEN_DECK)
-    result = TeaLeaf(deck, model=path.stem).run()
-
-    signature = trace_signature(result.trace)
-    signature["total_iterations"] = result.total_iterations
-    mismatched = [
-        k for k in golden
-        if k not in ("model", "deck") and signature.get(k) != golden[k]
-    ]
-    if "event_stream_sha256" in mismatched:
-        pytest.fail(
-            f"{path.stem}: event stream diverged "
-            f"({first_divergence(result.trace, golden)}); "
-            f"also mismatched: {mismatched}"
-        )
-    assert mismatched == [], f"{path.stem}: {mismatched}"
+@pytest.mark.parametrize("model", harness.MODELS)
+def test_golden_trace_matches(model):
+    harness.test_golden_trace(model)

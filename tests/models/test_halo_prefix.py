@@ -4,16 +4,15 @@ The plan compiler folds a reflective halo refresh into the kernel call or
 fused group right behind it when that traversal stencil-reads every
 refreshed field (``plan._prefix_halos``).  On the single-chunk ports that
 fuse, each ghost cell the 5-point stencil reads mirrors the cell that
-reads it, so the prefix changes no bit: these tests pin the solution,
-the iteration trajectory, the residual histories and the summaries
-against the unfused interpreted run on every fusing port and solver —
-plain, under fault injection with recovery, and under dead-field poison
-(a fused run always runs compiled) — and pin that each prefixed refresh
-costs exactly one launch less while the comm ledger and the checkpoint
-write journal still count it.
+reads it, so the prefix changes no bit: the differential harness
+(``test_equivalence.py``) pins that on every fusing port, solver and
+flag set, and that only unread refreshes stay standalone.  Here: the
+compiler pass, the refresh landing before the members of a hand-built
+executor's group, and, against the compiler with the pass switched off,
+that each prefixed refresh costs exactly one launch less while the comm
+ledger still counts it.
 """
 
-import dataclasses
 import gc
 
 import numpy as np
@@ -22,13 +21,11 @@ import pytest
 from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf, solve_step_plans
-from repro.core.grid import Grid2D
 from repro.core.solvers.base import CG_ITER_HEAD
 from repro.core.solvers.cheby import CHEBY_HEAD, CHEBY_STEP
 from repro.core.solvers.jacobi import JACOBI_RESIDUAL, JACOBI_STEP
 from repro.core.solvers.ppcg import PPCG_RESTART
 from repro.models import plan as plan_module
-from repro.models.base import available_models, make_port
 from repro.models.plan import (
     CompiledKernel,
     FaultStep,
@@ -40,25 +37,18 @@ from repro.models.plan import (
     render_step,
 )
 from repro.util.errors import ModelError
+from tests.models import test_equivalence as harness
+from tests.models.test_equivalence import (
+    FUSING_MODELS,
+    PLAIN,
+    SETUPS,
+    Row,
+    flags,
+    run_row,
+    solve,
+)
 
-SETUPS = {
-    "cg": ("cg", "none"),
-    "cg-jac_diag": ("cg", "jac_diag"),
-    "chebyshev": ("chebyshev", "none"),
-    "ppcg": ("ppcg", "none"),
-    "jacobi": ("jacobi", "none"),
-}
-
-FUSING_MODELS = [
-    m for m in available_models() if make_port(m, Grid2D(nx=8, ny=8)).supports_fusion
-]
-
-#: Flag families the prefix must stay invisible under.
-FAMILIES = {
-    "plain": {},
-    "resilient": {"tl_resilient": True, "tl_inject": "nan:u:5,raise:update_halo:9"},
-    "poison": {"tl_poison_dead_fields": True},
-}
+FUSE = flags("fuse")
 
 
 def kinds(steps):
@@ -211,34 +201,8 @@ def test_refresh_lands_before_the_members(model, codegen):
 
 
 # --------------------------------------------------------------------- #
-# end to end
+# against the compiler without the prefix pass
 # --------------------------------------------------------------------- #
-def solve(model, setup, **flags):
-    solver, precon = SETUPS[setup]
-    deck = dataclasses.replace(
-        default_deck(n=32, solver=solver, end_step=1),
-        tl_preconditioner_type=precon,
-        **flags,
-    )
-    app = TeaLeaf(deck, model=model)
-    result = app.run()
-    hist = result.trace.kernel_histogram()
-    # Incremental checkpoints copy what the write journal names.
-    ck = app.resilience.checkpoints if app.resilience else None
-    return {
-        "u": app.field(F.U),
-        "iterations": result.total_iterations,
-        "history": [(s.solve.error, s.solve.history) for s in result.steps],
-        "summary": result.final_summary,
-        "halo_steps": result.comm["halo_steps"],
-        "launches": result.trace.kernel_launches(),
-        "halo_launches": hist["halo_update"],
-        "fallbacks": result.fallbacks,
-        "injections": result.resilience.injections if result.resilience else 0,
-        "journal": (ck.periodic_bytes_copied, ck.periodic_bytes_full) if ck else None,
-    }
-
-
 def _clear_compiled_plans():
     for obj in gc.get_objects():
         if isinstance(obj, Plan):
@@ -246,79 +210,56 @@ def _clear_compiled_plans():
 
 
 @pytest.fixture(scope="module")
-def prefix_runs():
-    """Per fusing port, setup and flag family: the unfused run, the fused
-    run, and the fused run without prefixes."""
-    runs = {}
-    for model in FUSING_MODELS:
-        for setup in SETUPS:
-            for family, flags in FAMILIES.items():
-                runs[model, setup, family] = {
-                    # Poisoned runs answer to the plain unfused run.
-                    "unfused": runs[model, setup, "plain"]["unfused"]
-                    if family == "poison"
-                    else solve(model, setup, **flags),
-                    "fused": solve(model, setup, tl_fuse_kernels=True, **flags),
-                }
+def unprefixed():
+    """Each fusing port's fused solve of every setup, compiled without
+    halo prefixes: a plan no user can reach."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(plan_module, "_prefix_halos", list)
         _clear_compiled_plans()
         try:
-            for model in FUSING_MODELS:
-                for setup in SETUPS:
-                    runs[model, setup, "plain"]["unprefixed"] = solve(
-                        model, setup, tl_fuse_kernels=True
-                    )
+            return {
+                (model, setup): run_row(Row(setup, model, FUSE))
+                for model in FUSING_MODELS
+                for setup in SETUPS
+            }
         finally:
             _clear_compiled_plans()
-    return runs
-
-
-RESULT_KEYS = (
-    "iterations", "history", "summary", "halo_steps", "injections", "journal",
-)
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("setup", sorted(SETUPS))
-def test_prefix_is_bitwise_invisible(prefix_runs, setup, family):
-    for model in FUSING_MODELS:
-        run = prefix_runs[model, setup, family]
-        base = run["unfused"]
-        assert base["fallbacks"] == []
-        got = run["fused"]
-        assert got["fallbacks"] == [], model
-        np.testing.assert_array_equal(got["u"], base["u"], err_msg=model)
-        for key in RESULT_KEYS:
-            assert got[key] == base[key], f"{model}: {key}"
-        if family == "resilient":
-            assert base["injections"] == 2, model
-            assert base["journal"][0] > 0, model
 
 
 @pytest.mark.parametrize("setup", sorted(SETUPS))
-def test_one_launch_fewer_per_prefixed_halo(prefix_runs, setup):
+def test_one_launch_fewer_per_prefixed_halo(unprefixed, setup):
     for model in FUSING_MODELS:
-        run = prefix_runs[model, setup, "plain"]
-        before, after = run["unprefixed"], run["fused"]
-        np.testing.assert_array_equal(after["u"], before["u"], err_msg=model)
-        prefixed = before["halo_launches"] - after["halo_launches"]
+        before = unprefixed[model, setup]
+        after = solve(Row(setup, model, FUSE))
+        assert after.u_sha == before.u_sha, model
+        prefixed = (
+            before.signature["kernel_histogram"]["halo_update"]
+            - after.signature["kernel_histogram"]["halo_update"]
+        )
         assert prefixed > 0, model
-        assert before["launches"] - after["launches"] == prefixed, model
+        launches = before.signature["kernel_launches"] - after.signature["kernel_launches"]
+        assert launches == prefixed, model
         # Every exchange is still one ledger entry, standalone or prefix.
-        assert after["halo_steps"] == before["halo_steps"] == run["unfused"][
+        unfused = solve(Row(setup, model, PLAIN))
+        assert after.comm["halo_steps"] == before.comm["halo_steps"] == unfused.comm[
             "halo_steps"
         ]
 
 
+# The end-to-end checks are harness rows; these ids stay as their aliases.
+FAMILIES = {
+    "plain": FUSE,
+    "poison": flags("codegen+fuse+poison+residency"),
+    "resilient": flags("fuse+residency+resilient"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("setup", sorted(SETUPS))
-def test_only_unread_refreshes_stay_standalone(prefix_runs, setup):
-    """The prologue's refresh (one per step) has no consumer; Jacobi's
-    sweep refreshes u but stencil-reads r.  Every other refresh is a
-    prefix, so these are the only standalone halo launches left."""
-    for model in FUSING_MODELS:
-        run = prefix_runs[model, setup, "plain"]
-        standalone = 1  # the prologue, one step
-        if setup == "jacobi":
-            standalone += run["unfused"]["iterations"]
-        assert run["fused"]["halo_launches"] == standalone, model
+def test_prefix_is_bitwise_invisible(setup, family):
+    harness.check(*(Row(setup, m, FAMILIES[family]) for m in FUSING_MODELS))
+
+
+@pytest.mark.parametrize("setup", sorted(SETUPS))
+def test_only_unread_refreshes_stay_standalone(setup):
+    harness.check(*(Row(setup, m, FUSE) for m in FUSING_MODELS))

@@ -1,113 +1,25 @@
 """Bitwise equivalence of ``--fuse --residency --resilient --inject``.
 
-The configuration axes must compose: turning on kernel fusion and
-residency tracking *together with* fault injection and recovery must
-leave the recovered solve bitwise-identical — same solution field, same
-iteration trajectory, same recovery event counts — on every registered
-port.  The reference is the plainest resilient run (no fusion, no
-residency) on the reference model: fault injection is deterministic per
-seed, detection is a plan step, and rollback restores exact snapshots,
-so nothing down the recovery path may depend on which optimisations are
-active.
+These checks are rows of the differential harness (``test_equivalence.py``);
+the ids stay as aliases of the harness checks that make them, and solve
+nothing of their own.
 """
 
-import dataclasses
-from pathlib import Path
+from tests.models import test_equivalence as harness
+from tests.models.test_equivalence import MODELS, Row, flags
 
-import numpy as np
-import pytest
-
-from repro.core import fields as F
-from repro.core.deck import parse_deck_file
-from repro.core.driver import TeaLeaf
-from repro.models.base import available_models
-
-DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
-REFERENCE_MODEL = "openmp-f90"
+RESILIENT = [Row("jac_diag", m, flags("fuse+residency+resilient")) for m in MODELS]
 
 
-def _deck(**overrides):
-    deck = parse_deck_file(str(DECK))
-    return dataclasses.replace(
-        deck,
-        tl_preconditioner_type="jac_diag",
-        tl_resilient=True,
-        tl_inject="nan:u:5",
-        **overrides,
-    )
-
-
-@pytest.fixture(scope="module")
-def resilient_runs():
-    """Reference: unfused resilient run.  Candidates: every model with
-    fusion + residency + resilience + injection all on."""
-    grid = _deck().grid()
-
-    def capture(app, result):
-        return {
-            "u": app.field(F.U)[grid.inner()].copy(),
-            "per_step": result.iterations_per_step(),
-            "summary": result.steps[-1].summary,
-            "report": result.resilience,
-            "fused": app.executor.fuse,
-        }
-
-    ref_app = TeaLeaf(_deck(), model=REFERENCE_MODEL)
-    reference = capture(ref_app, ref_app.run())
-
-    runs = {}
-    full = _deck(tl_fuse_kernels=True, tl_residency_tracking=True)
-    for model in available_models():
-        app = TeaLeaf(full, model=model)
-        runs[model] = capture(app, app.run())
-    return reference, runs
+def check(self):
+    harness.check(*RESILIENT)
 
 
 class TestResilientFusedEquivalence:
-    def test_every_model_recovers(self, resilient_runs):
-        reference, runs = resilient_runs
-        assert reference["report"].recoveries >= 1
-        for model, run in runs.items():
-            assert run["report"].injections == 1, model
-            assert run["report"].recoveries >= 1, model
-
-    def test_fusion_stays_on_where_supported(self, resilient_runs):
-        _, runs = resilient_runs
-        fused = [m for m, r in runs.items() if r["fused"]]
-        assert fused, "no port kept fusion on under resilience"
-
-    def test_u_bitwise_identical_to_unfused_resilient(self, resilient_runs):
-        reference, runs = resilient_runs
-        for model, run in runs.items():
-            np.testing.assert_array_equal(
-                run["u"], reference["u"], err_msg=model
-            )
-
-    def test_iteration_trajectories_identical(self, resilient_runs):
-        reference, runs = resilient_runs
-        for model, run in runs.items():
-            assert run["per_step"] == reference["per_step"], model
-
-    def test_summaries_bit_identical(self, resilient_runs):
-        reference, runs = resilient_runs
-        for model, run in runs.items():
-            assert run["summary"] == reference["summary"], model
-
-    def test_recovery_event_counts_identical(self, resilient_runs):
-        reference, runs = resilient_runs
-        ref = reference["report"]
-        for model, run in runs.items():
-            rep = run["report"]
-            assert (
-                rep.injections,
-                rep.detections,
-                rep.rollbacks,
-                rep.retries,
-                rep.checkpoints_taken,
-            ) == (
-                ref.injections,
-                ref.detections,
-                ref.rollbacks,
-                ref.retries,
-                ref.checkpoints_taken,
-            ), model
+    # Each id names one check the harness makes of every row above.
+    test_every_model_recovers = check
+    test_fusion_stays_on_where_supported = check
+    test_u_bitwise_identical_to_unfused_resilient = check
+    test_iteration_trajectories_identical = check
+    test_summaries_bit_identical = check
+    test_recovery_event_counts_identical = check
