@@ -14,14 +14,17 @@ one memoised :func:`solve`, and held to the same contract:
   poison) the ``trace_signature`` of the same row without it;
 * the support table: each requested flag a port cannot honour records
   exactly the fallback its ``supports_*`` predict, and nothing else;
-* resilience: every port recovers with the reference's counts.
+* resilience: every port recovers with the reference's counts;
+* poison: on every deck of two steps or more, a poisoned run ends with
+  a dead field wholly NaN on every chunk, and a run without it with none.
 
 The rows are the shipped, ``jac_diag`` and 4-rank ``tea_bm_short``
-decks, the five 32x32 solver setups and a ``recip_conductivity`` deck,
-times every registered port (the two 4-rank ensembles on the 4-rank
-deck), times the flag sets users request, plus fallback-only rows for
-numdiff's lockstep facade, a Kokkos ``Layout.LEFT`` port and the tracing
-stub.  A new port or flag set is a row change here, not a new suite.
+decks, the five 32x32 solver setups for one step and for two, and a
+``recip_conductivity`` deck, times every registered port (the two 4-rank
+ensembles on the 4-rank deck), times the flag sets users request, plus
+rows for a 2-rank ensemble and fallback-only rows for numdiff's lockstep
+facade, a Kokkos ``Layout.LEFT`` port and the tracing stub.  A new port
+or flag set is a row change here, not a new suite.
 """
 
 from __future__ import annotations
@@ -81,22 +84,30 @@ def small(solver, precon="none"):
 
 #: The five 32x32 solver setups the liveness pass distinguishes.
 SETUPS = {
-    "cg": lambda: small("cg"),
-    "cg-jac_diag": lambda: small("cg", "jac_diag"),
-    "chebyshev": lambda: small("chebyshev"),
-    "ppcg": lambda: small("ppcg"),
-    "jacobi": lambda: small("jacobi"),
+    "cg": small("cg"),
+    "cg-jac_diag": small("cg", "jac_diag"),
+    "chebyshev": small("chebyshev"),
+    "ppcg": small("ppcg"),
+    "jacobi": small("jacobi"),
+}
+
+#: The same setups for two steps, ``<setup>@2``: what the first step
+#: leaves behind (residency mirrors, the poison of the second step's
+#: entry, Chebyshev's and PPCG's fresh bootstrap) must not move a bit.
+TWO_STEPS = {
+    f"{name}@2": dataclasses.replace(deck, end_step=2) for name, deck in SETUPS.items()
 }
 
 DECKS = {
-    "shipped": tea_bm_short,
-    "jac_diag": lambda: tea_bm_short(tl_preconditioner_type="jac_diag"),
-    "4rank": tea_bm_short,
-    "recip": lambda: dataclasses.replace(
+    "shipped": tea_bm_short(),
+    "jac_diag": tea_bm_short(tl_preconditioner_type="jac_diag"),
+    "4rank": tea_bm_short(),
+    "recip": dataclasses.replace(
         default_deck(n=16, solver="cg", end_step=1, eps=1e-9),
         tl_coefficient="recip_conductivity",
     ),
     **SETUPS,
+    **TWO_STEPS,
 }
 
 #: The three golden ``u`` hashes (sha256 of the whole padded field, cut
@@ -115,6 +126,13 @@ FOUR_RANK_MODELS = {
     "openmp-f90x4": ["openmp-f90"] * 4,
     "heterogeneous": ["cuda", "openmp-f90", "kokkos", "opencl"],
 }
+#: Decomposed ensemble -> the ensemble of as many ranks its rows answer
+#: to: a decomposition reduces in another order than one chunk.
+ENSEMBLE_REFERENCE = {
+    "openmp-f90x2": "openmp-f90x2",
+    "openmp-f90x4": "openmp-f90x4",
+    "heterogeneous": "openmp-f90x4",
+}
 STUB = "tracing-stub"
 
 #: Port name -> factory from the run's deck.
@@ -124,6 +142,7 @@ PORTS = {
         name: (lambda deck, models=models: MultiChunkPort(deck.grid(), 4, model=models))
         for name, models in FOUR_RANK_MODELS.items()
     },
+    "openmp-f90x2": lambda deck: MultiChunkPort(deck.grid(), 2, model=REFERENCE),
     "kokkos-left": lambda deck: KokkosPort(deck.grid(), layout=Layout.LEFT),
     "lockstep": lambda deck: LockstepPort(
         deck.grid(),
@@ -137,6 +156,9 @@ PORTS = {
         MODEL_BEHAVIOR["cuda"],
     ),
 }
+#: Ports whose ``supports_poison`` declares that each chunk's
+#: ``_device_array`` returns the arrays the kernels use.
+POISONABLE = {name for name, make in PORTS.items() if make(SETUPS["cg"]).supports_poison}
 
 
 # --------------------------------------------------------------------- #
@@ -152,6 +174,8 @@ FLAGS = {
     "residency": {"tl_residency_tracking": True},
     "poison": {"tl_poison_dead_fields": True},
     "resilient": {"tl_resilient": True, "tl_inject": INJECT},
+    # Resilience armed, and no fault: checkpoints only.
+    "checkpointed": {"tl_resilient": True},
 }
 
 #: Flags that must not move the modelled clock.
@@ -171,12 +195,15 @@ def spec(flag_set: frozenset) -> str:
 PLAIN = flags("plain")
 
 #: The flag sets users request.  ``fuse`` always runs compiled, so
-#: (fuse, codegen) has three reachable pairs.
+#: (fuse, codegen) has three reachable pairs; poison refuses resilience.
 FLAG_SETS = (
     "plain codegen residency codegen+residency fuse fuse+residency poison "
     "codegen+fuse+poison+residency resilient codegen+resilient "
     "fuse+residency+resilient"
 ).split()
+POISON_SETS = [f for f in FLAG_SETS if "poison" in flags(f)]
+#: What every port runs for two steps: the poison sets, and their twins.
+TWO_STEP_SETS = ["plain", "codegen", "fuse+residency", *POISON_SETS]
 
 
 # --------------------------------------------------------------------- #
@@ -195,7 +222,11 @@ class Row(NamedTuple):
 #: decks the interpreted flag sets run on the reference port only: on the
 #: RAJA ports one interpreted solve takes seconds.
 TABLE = [
-    (SETUPS, MODELS, FLAG_SETS),
+    # Poison runs for two steps, which cover one.
+    (SETUPS, MODELS, [f for f in FLAG_SETS if f not in POISON_SETS]),
+    (TWO_STEPS, MODELS, TWO_STEP_SETS),
+    (TWO_STEPS, [REFERENCE], [f for f in FLAG_SETS if f not in TWO_STEP_SETS]),
+    (["cg@2"], [REFERENCE], ["checkpointed", "checkpointed+codegen", "checkpointed+fuse"]),
     (["shipped"], MODELS, ["plain", "fuse+residency"]),
     (["jac_diag"], [REFERENCE], ["plain", "resilient"]),
     (
@@ -210,6 +241,8 @@ TABLE = [
     ),
     (["4rank"], FOUR_RANK_MODELS, ["plain", "codegen", "poison", "fuse+residency"]),
     (["recip"], MODELS, ["plain", "codegen"]),
+    (["cg"], ["openmp-f90x2"], ["plain", "codegen", "fuse"]),
+    (["cg-jac_diag@2"], ["openmp-f90x2"], ["plain", "poison"]),
     # Fallback-only rows: ports that refuse some flag.
     (["cg"], ["kokkos-left", "lockstep", STUB], ["plain", "codegen", "fuse", "poison"]),
     (["jac_diag"], ["kokkos-left"], ["poison"]),
@@ -226,9 +259,10 @@ assert len(ROW_SET) == len(ROWS), "a row is listed twice"
 
 
 def reference(row: Row) -> Row:
-    """The row ``row`` answers to: its deck's reference port, with the
-    same resilience, since a recovery may take a different path."""
-    port = "openmp-f90x4" if row.deck == "4rank" else REFERENCE
+    """The row ``row`` answers to: the reference port, or ensemble of as
+    many ranks, with the same resilience, since a recovery may take a
+    different path."""
+    port = ENSEMBLE_REFERENCE.get(row.port, REFERENCE)
     return Row(row.deck, port, row.flags & {"resilient"})
 
 
@@ -262,6 +296,10 @@ def has_unoptimised_twin(row):
     return bool(row.flags & {"fuse", "residency"}) and unoptimised(row) in ROW_SET
 
 
+def multi_step_poisonable(row):
+    return row.port in POISONABLE and DECKS[row.deck].end_step > 1
+
+
 def rows_where(applies) -> list:
     return [pytest.param(r, id=str(r)) for r in ROWS if applies(r)]
 
@@ -280,6 +318,9 @@ class Solved(NamedTuple):
     granted: tuple
     #: Whether the driver armed dead-field poison.
     poisoned: bool
+    #: The fields wholly NaN on every chunk after the run, on ports that
+    #: poison can fill.
+    nan_fields: frozenset | None
     u_sha: str | None
     per_step: list
     history: list
@@ -295,8 +336,9 @@ class Solved(NamedTuple):
 
 def run_row(row: Row) -> Solved:
     """Solve ``row`` from scratch (:func:`solve` is its memo)."""
-    deck = DECKS[row.deck]()
-    deck = dataclasses.replace(deck, **{k: v for f in row.flags for k, v in FLAGS[f].items()})
+    deck = dataclasses.replace(
+        DECKS[row.deck], **{k: v for f in row.flags for k, v in FLAGS[f].items()}
+    )
     port = PORTS[row.port](deck)
     with contextlib.redirect_stderr(io.StringIO()) as err:
         app = TeaLeaf(deck, port=port)
@@ -313,6 +355,13 @@ def run_row(row: Row) -> Solved:
         warnings=err.getvalue().splitlines(),
         granted=(app.executor.fuse, app.executor.codegen),
         poisoned=bool(app._dead_at_entry),
+        nan_fields=frozenset(
+            name
+            for name in F.FIELD_ORDER
+            if all(np.isnan(c._device_array(name)).all() for c in port.chunks())
+        )
+        if row.port in POISONABLE
+        else None,
         u_sha=hashlib.sha256(app.field(F.U).tobytes()).hexdigest()[:16] if has_arrays else None,
         per_step=result.iterations_per_step(),
         history=[(s.solve.error, s.solve.history) for s in result.steps],
@@ -406,6 +455,17 @@ def test_recovery_matches_the_reference(row):
     assert got.journal == ref.journal
 
 
+@pytest.mark.parametrize("row", rows_where(multi_step_poisonable))
+def test_poison_reaches_the_arrays(row):
+    """Poison NaN-fills the fields dead at each step's entry, which the
+    step defines before reading, so one stays NaN in every chunk's arrays
+    to the end; without poison none does.  On decks of two steps or more:
+    the data-region ports take the entry fill in host arrays, so their
+    one-step runs with residency tracking end with none (ROADMAP)."""
+    got = solve(row)
+    assert bool(got.nan_fields) == got.poisoned
+
+
 #: Ports whose transfers residency tracking cuts: per-solve maps and
 #: per-reduction partials read-backs.
 RESIDENT_PORTS = {
@@ -424,10 +484,11 @@ def test_optimisations_cut_their_cost(row):
     saved = base_sig["kernel_launches"] - sig["kernel_launches"]
     assert saved >= 0
     fused, iterations = got.granted[0], sum(got.per_step)
+    jacobi = DECKS[row.deck].solver == "jacobi"
     if fused:
         # CG, Chebyshev and PPCG save a launch in every iteration; Jacobi
         # fuses only its residual checks.
-        assert saved >= (1 if row.deck == "jacobi" else iterations)
+        assert saved >= (1 if jacobi else iterations)
     if "resilient" in row.flags:
         # A rollback re-runs the prologue and restores what residency
         # keeps mapped: the counts below are those of a fault-free run.
@@ -435,7 +496,7 @@ def test_optimisations_cut_their_cost(row):
     if fused:
         # The prologue's refresh has no consumer; Jacobi's sweep refreshes
         # u but stencil-reads r.  Every other refresh is a prefix.
-        standalone = len(got.per_step) + (iterations if row.deck == "jacobi" else 0)
+        standalone = len(got.per_step) + (iterations if jacobi else 0)
         assert sig["kernel_histogram"]["halo_update"] == standalone
     assert sig["transfers"] <= base_sig["transfers"]
     if "residency" in row.flags and row.port in RESIDENT_PORTS:
@@ -449,16 +510,21 @@ ROW_CHECKS = (
     (test_host_only_flags_keep_the_trace, has_host_only_twin),
     (test_recovery_matches_the_reference, is_resilient),
     (test_optimisations_cut_their_cost, has_unoptimised_twin),
+    (test_poison_reaches_the_arrays, multi_step_poisonable),
 )
 
 
-def check(*rows: Row) -> None:
-    """Every per-row check that applies to each of ``rows``."""
+def check(*rows: Row, only=None) -> None:
+    """Every per-row check that applies to each of ``rows``, or the
+    checks ``only`` names, each of which must apply."""
     for row in rows:
         assert row in ROW_SET, f"{row} is not a harness row"
-        for test, applies in ROW_CHECKS:
-            if applies(row):
-                test(row)
+        tests = [test for test, applies in ROW_CHECKS if applies(row)]
+        if only is not None:
+            assert set(only) <= set(tests), f"{row}: not every check in {only} applies"
+            tests = only
+        for test in tests:
+            test(row)
 
 
 # --------------------------------------------------------------------- #
@@ -479,7 +545,7 @@ def test_golden_trace(model):
         k for k in golden if k not in ("model", "deck") and signature.get(k) != golden[k]
     ]
     if "event_stream_sha256" in mismatched:
-        trace = TeaLeaf(DECKS["shipped"](), model=model).run().trace
+        trace = TeaLeaf(DECKS["shipped"], model=model).run().trace
         pytest.fail(
             f"{model}: event stream diverged ({first_divergence(trace, golden)}); "
             f"also mismatched: {mismatched}"
@@ -576,7 +642,7 @@ def test_reference_matches_a_direct_sparse_solve(deck):
     """The last step's solution against scipy on the same operator."""
     row = reference(Row(deck, REFERENCE, PLAIN))
     kx, ky, u0, u = solve(row).system
-    grid = DECKS[deck]().grid()
+    grid = DECKS[deck].grid()
     A = ops.assemble_sparse_matrix(kx, ky, grid)
     direct = spla.spsolve(A.tocsc(), u0[grid.inner()].ravel())
     np.testing.assert_allclose(u[grid.inner()].ravel(), direct, rtol=1e-6)

@@ -5,15 +5,9 @@ the ids stay as aliases of the harness checks that make them, and solve
 nothing of their own.
 """
 
-import pytest
-
 from tests.models import test_equivalence as harness
 
-
-def test_snapshots_cover_every_registered_model():
-    harness.test_golden_traces_cover_every_registered_model()
-
-
-@pytest.mark.parametrize("model", harness.MODELS)
-def test_golden_trace_matches(model):
-    harness.test_golden_trace(model)
+test_snapshots_cover_every_registered_model = (
+    harness.test_golden_traces_cover_every_registered_model
+)
+test_golden_trace_matches = harness.test_golden_trace

@@ -247,17 +247,19 @@ def test_one_launch_fewer_per_prefixed_halo(unprefixed, setup):
 
 
 # The end-to-end checks are harness rows; these ids stay as their aliases.
+#: Family -> (deck suffix, flags): poison runs for two steps.
 FAMILIES = {
-    "plain": FUSE,
-    "poison": flags("codegen+fuse+poison+residency"),
-    "resilient": flags("fuse+residency+resilient"),
+    "plain": ("", FUSE),
+    "poison": ("@2", flags("codegen+fuse+poison+residency")),
+    "resilient": ("", flags("fuse+residency+resilient")),
 }
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("setup", sorted(SETUPS))
 def test_prefix_is_bitwise_invisible(setup, family):
-    harness.check(*(Row(setup, m, FAMILIES[family]) for m in FUSING_MODELS))
+    suffix, flag_set = FAMILIES[family]
+    harness.check(*(Row(setup + suffix, m, flag_set) for m in FUSING_MODELS))
 
 
 @pytest.mark.parametrize("setup", sorted(SETUPS))

@@ -41,14 +41,6 @@ def transfer_count(trace):
     return sum(1 for e in trace.events if e.kind == EventKind.TRANSFER)
 
 
-def fuse_refusal(model_name):
-    """The fallback a fuse deck records on a port that cannot fuse."""
-    return (
-        f"fuse requested but port '{model_name}' does not support it "
-        f"(supports_fusion=False); running unfused kernels"
-    )
-
-
 # --------------------------------------------------------------------- #
 # The end-to-end checks are harness rows; these ids stay as their aliases.
 # --------------------------------------------------------------------- #
@@ -80,12 +72,14 @@ def test_fusion_stays_on_under_fault_injection():
 @pytest.mark.parametrize("setup", sorted(SETUPS))
 @pytest.mark.parametrize("model", MODELS)
 def test_poison_is_bitwise_invisible(model, setup):
-    harness.check(Row(setup, model, flags("poison")), Row(setup, model, ALL_ARRAY_FLAGS))
+    harness.check(
+        Row(f"{setup}@2", model, flags("poison")), Row(f"{setup}@2", model, ALL_ARRAY_FLAGS)
+    )
 
 
 FUSE_ROWS = {
     **{m: Row("cg", m, flags("fuse")) for m in MODELS},
-    "multichunk-2": Row("4rank", "openmp-f90x4", FUSE_RESIDENCY),
+    "multichunk-2": Row("cg", "openmp-f90x2", flags("fuse")),
     "lockstep": Row("cg", "lockstep", flags("fuse")),
 }
 
@@ -149,15 +143,10 @@ def test_poison_catches_a_stale_read(model, codegen):
 
 def test_poison_runs_on_every_chunk_of_a_decomposed_port():
     """A decomposed port keeps each field per chunk: poison fills every
-    chunk's arrays."""
-    deck = dataclasses.replace(
-        default_deck(n=32, end_step=2),
-        tl_preconditioner_type="jac_diag",
-        tl_poison_dead_fields=True,
-    )
-    port = MultiChunkPort(deck.grid(), 2, model="openmp-f90")
-    TeaLeaf(deck, port=port).run()
-    assert all(np.isnan(chunk._device_array(F.Z)).all() for chunk in port.ports)
+    chunk's arrays, records no fallback and changes no bit of u."""
+    row = Row("cg-jac_diag@2", "openmp-f90x2", flags("poison"))
+    harness.check(row)
+    assert F.Z in harness.solve(row).nan_fields
 
 
 def test_poison_catches_a_stale_read_on_a_decomposed_port():

@@ -8,7 +8,7 @@ nothing of their own.
 import pytest
 
 from tests.models import test_equivalence as harness
-from tests.models.test_equivalence import FUSING_MODELS, MODELS, SETUPS, Row, flags
+from tests.models.test_equivalence import MODELS, SETUPS, Row, flags
 
 
 @pytest.mark.parametrize(
@@ -20,10 +20,5 @@ def test_codegen_traces_like_the_interpreter(model, setup, residency):
     harness.check(Row(setup, model, flags("codegen+residency" if residency else "codegen")))
 
 
-def test_every_fusing_model_is_pinned():
-    harness.test_every_fusing_model_is_pinned()
-
-
-@pytest.mark.parametrize("model", FUSING_MODELS)
-def test_fused_traces_match_their_pinned_digest(model):
-    harness.test_fused_traces_match_their_pinned_digest(model)
+test_every_fusing_model_is_pinned = harness.test_every_fusing_model_is_pinned
+test_fused_traces_match_their_pinned_digest = harness.test_fused_traces_match_their_pinned_digest
