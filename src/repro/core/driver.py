@@ -226,12 +226,11 @@ class TeaLeaf:
         # silently reusing old bytes.  It fills each chunk's device
         # arrays, so it needs a port whose ``supports_poison`` declares
         # that those arrays are the ones the kernels use.
-        self._dead_at_entry: tuple[str, ...] = ()
         if deck.tl_poison_dead_fields:
             if self.port.supports_poison:
                 liveness = deck_liveness(deck)
                 self.executor.poison_after = liveness.releases
-                self._dead_at_entry = liveness.dead_at_entry
+                self.executor.poison_at_entry = liveness.dead_at_entry
             else:
                 self.executor.fallbacks.append(
                     f"tl_poison_dead_fields requested but port "
@@ -275,12 +274,6 @@ class TeaLeaf:
         manager = self.resilience
         if manager is not None:
             manager.current_step = self.step_count
-
-        if self._dead_at_entry:
-            # Every such field is def-before-use within a step (the
-            # liveness pass proved none is live into the cycle), so a NaN
-            # floor at step entry can only surface stale-read bugs.
-            self.executor.poison(self._dead_at_entry)
 
         retries = 0
         summary = None

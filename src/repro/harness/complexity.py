@@ -100,8 +100,9 @@ def measure(model: str) -> ComplexityReport:
         # ("changing the directives but maintaining the same data
         # transitions", §3.2): their porting delta is just the directive
         # and residency glue, measured by the subclass itself.
-        if model == "openmp45":
-            # 4.5 builds on the 4.0 port; its delta includes both layers.
+        if model != "openmp4":
+            # 4.5 and OpenACC build on the 4.0 port; their delta
+            # includes both layers.
             from repro.models import openmp4 as openmp4_module
 
             shared = _sloc(openmp4_module.OpenMP4Port)

@@ -179,6 +179,10 @@ class LockstepPort(Port):
         self.model_name = f"lockstep({reference.model_name},{candidate.model_name})"
         self.calls: Counter[str] = Counter()
         self.kernel_calls = 0
+        #: Work fields the current step has written.  The others hold
+        #: what the last step left, or the zeros a data region's
+        #: ``map(alloc:)`` hands out, so they are not compared.
+        self.written: set[str] = set()
 
     # ------------------------------------------------------------------ #
     @property
@@ -231,6 +235,8 @@ class LockstepPort(Port):
         # is refreshed by update_halo before any kernel consumes it.
         inner = self.grid.inner()
         for name in F.FIELD_ORDER:
+            if F.role(name) is F.FieldRole.WORK and name not in self.written:
+                continue
             fa = self.reference.read_field(name)[inner]
             fb = self.candidate.read_field(name)[inner]
             if np.array_equal(fa, fb):
@@ -278,6 +284,9 @@ class LockstepPort(Port):
     # kernel set: every call runs on both ports and is cross-checked
     # ------------------------------------------------------------------ #
     def dispatch(self, call: KernelCall):
+        if call.op == "set_field":
+            self.written.clear()
+        self.written.update(call.spec.written(call.args))
         return self._run(call.op, lambda p: p.dispatch(call))
 
     def update_halo(self, names: Iterable[str], depth: int) -> None:

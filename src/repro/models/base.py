@@ -281,13 +281,17 @@ class Port(ABC):
         return results
 
     def _codegen_ctx(self):
-        """The port's (cached) codegen evaluation context."""
+        """The port's (cached) whole-interior slab for compiled steps.
+
+        It resolves names through :meth:`_device_array`, so compiled
+        writes land exactly where the interpreted ``_k_*`` primitives
+        write.
+        """
         ctx = getattr(self, "_codegen_ctx_cache", None)
         if ctx is None:
-            from repro.models.codegen import CodegenContext
+            from repro.models.loopbodies import Slab
 
-            ctx = CodegenContext(self._device_array, self.grid)
-            self._codegen_ctx_cache = ctx
+            ctx = self._codegen_ctx_cache = Slab(self._device_array, self.grid)
         return ctx
 
     # ------------------------------------------------------------------ #

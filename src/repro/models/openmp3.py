@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import fields as F
-from repro.core import operators as ops
 from repro.core.grid import Grid2D
 from repro.models import loopbodies as lb
 from repro.models.base import (
@@ -30,7 +29,6 @@ from repro.models.base import (
     register_model,
 )
 from repro.models.openmp.runtime import DEFAULT_NUM_THREADS, OpenMPRuntime
-from repro.models.stencil import scratch
 from repro.models.tracing import Trace
 from repro.util.errors import ModelError
 
@@ -39,13 +37,13 @@ class OpenMP3Port(Port):
     """Host-resident TeaLeaf with fork-join row parallelism.
 
     The kernel set is expressed as ``_k_*`` primitives over the shared
-    OpenMP-C loop bodies; dispatch, tracing and residency bookkeeping live
-    in :class:`Port`.  Each ``parallel for`` runs its team as one slab
-    over its whole row range (:class:`OpenMPRuntime`), so the lambdas here
-    keep the loop bodies' reach contract: they write only their rows and
-    read no array they write outside them.  Elementwise kernels may be
-    fused: the fork-join model happily runs several loop bodies per
-    parallel region.
+    OpenMP-C loop bodies, one ``parallel for`` region per sweep; dispatch,
+    tracing and residency bookkeeping live in :class:`Port`.  Each region
+    runs its team as one slab over its whole row range
+    (:class:`OpenMPRuntime`), the cached team slab, so the bodies' reach
+    contract makes it bitwise the per-thread schedule.  Elementwise
+    kernels may be fused: the fork-join model happily runs several loop
+    bodies per parallel region.
     """
 
     supports_fusion = True
@@ -63,11 +61,9 @@ class OpenMP3Port(Port):
         self._host_fields: dict[str, np.ndarray] = {
             name: grid.allocate() for name in F.FIELD_ORDER
         }
-        #: The team's slab geometry's scratch block, held so that the
-        #: loop bodies' sweeps reuse it instead of allocating their own.
-        self._scratch_block = scratch(grid.ny, grid.nx + 2 * self.h)
-        self._rx = 0.0
-        self._ry = 0.0
+        #: The team's slab, the whole interior; it holds the geometry's
+        #: scratch block, so the sweeps allocate none of their own.
+        self._team = lb.Slab(self._lookup(), grid)
 
     @property
     def fields(self):
@@ -80,6 +76,29 @@ class OpenMP3Port(Port):
         different data-residency directives.
         """
         return self._host_fields
+
+    def _lookup(self):
+        """How the loop bodies resolve names: :attr:`fields`, here the host
+        dict's own lookup, bound once."""
+        return self._host_fields.__getitem__
+
+    def _slab(self, r0: int, r1: int) -> lb.Slab:
+        """Interior rows ``[r0, r1)``: the team slab when they are all."""
+        if r0 == 0 and r1 == self.grid.ny:
+            return self._team
+        return lb.Slab(self._team.array, self.grid, r0, r1)
+
+    def _for(self, body, args: tuple = ()) -> None:
+        """One ``parallel for`` region of ``body`` over the interior rows."""
+        self.omp.parallel_for(
+            self.grid.ny, lambda r0, r1: body(self._slab(r0, r1), args)
+        )
+
+    def _reduce(self, body, args: tuple = ()) -> float:
+        """One ``parallel for reduction(+:...)`` region of ``body``."""
+        return self.omp.parallel_reduce(
+            self.grid.ny, lambda r0, r1: body(self._slab(r0, r1), args)
+        )
 
     # ------------------------------------------------------------------ #
     # data interface (host model: no transfers)
@@ -106,198 +125,56 @@ class OpenMP3Port(Port):
     # kernels
     # ------------------------------------------------------------------ #
     def _k_set_field(self) -> None:
-        e0, e1 = self.fields[F.ENERGY0], self.fields[F.ENERGY1]
-        h, nx = self.h, self.grid.nx
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: e1.__setitem__(
-                (slice(h + r0, h + r1), slice(h, h + nx)),
-                e0[h + r0 : h + r1, h : h + nx],
-            ),
-        )
+        self._for(lb.set_field)
 
     def _k_tea_leaf_init(self, dt: float, coefficient: str) -> None:
-        g = self.grid
-        self._rx = dt / (g.dx * g.dx)
-        self._ry = dt / (g.dy * g.dy)
-        recip = coefficient == ops.RECIP_CONDUCTIVITY
-        f = self.fields
-        self.omp.parallel_for(
-            g.ny,
-            lambda r0, r1: lb.tea_leaf_init_slab(
-                f[F.DENSITY], f[F.ENERGY1], f[F.U], f[F.U0], f[F.KX], f[F.KY],
-                self._rx, self._ry, recip, self.h, g.nx, r0, r1,
-            ),
-        )
-        lb.zero_boundary_coefficients(f[F.KX], f[F.KY], self.h, g.nx, g.ny)
+        self._for(lb.tea_leaf_init, (dt, coefficient))
+        lb.zero_walls(self._team, ())
 
     def _k_tea_leaf_residual(self) -> None:
-        f = self.fields
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.residual_slab(
-                f[F.R], f[F.U0], f[F.U], f[F.KX], f[F.KY],
-                self.h, self.grid.nx, r0, r1,
-            ),
-        )
+        self._for(lb.tea_leaf_residual)
 
     def _k_cg_init(self) -> float:
-        f = self.fields
-        return self.omp.parallel_reduce(
-            self.grid.ny,
-            lambda r0, r1: lb.cg_init_slab(
-                f[F.W], f[F.R], f[F.P], f[F.U], f[F.U0], f[F.KX], f[F.KY],
-                self.h, self.grid.nx, r0, r1,
-            ),
-        )
+        return self._reduce(lb.cg_init)
 
     def _k_cg_calc_w(self) -> float:
-        f = self.fields
-        return self.omp.parallel_reduce(
-            self.grid.ny,
-            lambda r0, r1: lb.cg_calc_w_slab(
-                f[F.W], f[F.P], f[F.KX], f[F.KY], self.h, self.grid.nx, r0, r1
-            ),
-        )
+        return self._reduce(lb.cg_calc_w)
 
     def _k_cg_calc_ur(self, alpha: float) -> float:
-        f = self.fields
-        return self.omp.parallel_reduce(
-            self.grid.ny,
-            lambda r0, r1: lb.cg_calc_ur_slab(
-                f[F.U], f[F.R], f[F.P], f[F.W], alpha, self.h, self.grid.nx, r0, r1
-            ),
-        )
+        return self._reduce(lb.cg_calc_ur, (alpha,))
 
     def _k_cg_calc_p(self, beta: float) -> None:
-        f = self.fields
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.cg_calc_p_slab(
-                f[F.P], f[F.R], beta, self.h, self.grid.nx, r0, r1
-            ),
-        )
+        self._for(lb.cg_calc_p, (beta,))
 
     def _k_cheby_init(self, theta: float) -> None:
-        f = self.fields
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.cheby_init_slab(
-                f[F.R], f[F.SD], f[F.U], f[F.U0], f[F.W], f[F.KX], f[F.KY],
-                theta, self.h, self.grid.nx, r0, r1,
-            ),
-        )
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.cheby_calc_u_slab(
-                f[F.U], f[F.SD], self.h, self.grid.nx, r0, r1
-            ),
-        )
+        self._for(lb.cheby_init, (theta,))
+        self._for(lb.cheby_calc_u)
 
     def _k_cheby_iterate(self, alpha: float, beta: float) -> None:
-        f = self.fields
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.cheby_iterate_r_slab(
-                f[F.R], f[F.SD], f[F.W], f[F.KX], f[F.KY],
-                self.h, self.grid.nx, r0, r1,
-            ),
-        )
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.cheby_iterate_sd_slab(
-                f[F.SD], f[F.R], f[F.U], alpha, beta, self.h, self.grid.nx, r0, r1
-            ),
-        )
+        self._for(lb.cheby_iterate_r)
+        self._for(lb.cheby_iterate_sd, (alpha, beta))
 
     def _k_ppcg_precon_init(self, theta: float) -> None:
-        f = self.fields
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.ppcg_precon_init_slab(
-                f[F.W], f[F.SD], f[F.Z], f[F.R], theta, self.h, self.grid.nx, r0, r1
-            ),
-        )
+        self._for(lb.ppcg_precon_init, (theta,))
 
     def _k_ppcg_precon_inner(self, alpha: float, beta: float) -> None:
-        # Sweep 1: w -= A sd (the inner residual update).
-        scratch = self._scratch()
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: self._ppcg_inner_r(scratch, r0, r1),
-        )
-        # Sweep 2: sd = alpha sd + beta w; z += sd.
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: self._ppcg_inner_sd(alpha, beta, r0, r1),
-        )
-
-    def _scratch(self) -> np.ndarray:
-        if not hasattr(self, "_scratch_arr"):
-            self._scratch_arr = self.grid.allocate()
-        return self._scratch_arr
-
-    def _ppcg_inner_r(self, scratch: np.ndarray, r0: int, r1: int) -> None:
-        f = self.fields
-        lb.matvec_slab(scratch, f[F.SD], f[F.KX], f[F.KY], self.h, self.grid.nx, r0, r1)
-        I = slice(self.h + r0, self.h + r1)
-        J = slice(self.h, self.h + self.grid.nx)
-        f[F.W][I, J] -= scratch[I, J]
-
-    def _ppcg_inner_sd(self, alpha: float, beta: float, r0: int, r1: int) -> None:
-        f = self.fields
-        I = slice(self.h + r0, self.h + r1)
-        J = slice(self.h, self.h + self.grid.nx)
-        f[F.SD][I, J] = alpha * f[F.SD][I, J] + beta * f[F.W][I, J]
-        f[F.Z][I, J] += f[F.SD][I, J]
+        self._for(lb.ppcg_inner_w)
+        self._for(lb.ppcg_inner_sd, (alpha, beta))
 
     def _k_ppcg_calc_p(self, beta: float) -> None:
-        f = self.fields
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.cg_calc_p_slab(
-                f[F.P], f[F.Z], beta, self.h, self.grid.nx, r0, r1
-            ),
-        )
+        self._for(lb.ppcg_calc_p, (beta,))
 
     def _k_cg_precon_jacobi(self) -> None:
-        f = self.fields
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.cg_precon_slab(
-                f[F.Z], f[F.R], f[F.KX], f[F.KY], self.h, self.grid.nx, r0, r1
-            ),
-        )
+        self._for(lb.cg_precon_jacobi)
 
     def _k_jacobi_iterate(self) -> float:
-        f = self.fields
-        return self.omp.parallel_reduce(
-            self.grid.ny,
-            lambda r0, r1: lb.jacobi_iterate_slab(
-                f[F.U], f[F.R], f[F.U0], f[F.KX], f[F.KY],
-                self.h, self.grid.nx, r0, r1,
-            ),
-        )
+        return self._reduce(lb.jacobi_iterate)
 
     def _k_norm2_field(self, name: str) -> float:
-        a = self.fields[name]
-        h, nx = self.h, self.grid.nx
-        return self.omp.parallel_reduce(
-            self.grid.ny,
-            lambda r0, r1: (
-                a[h + r0 : h + r1, h : h + nx] * a[h + r0 : h + r1, h : h + nx]
-            ).ravel(),
-        )
+        return self._reduce(lb.norm2_field, (name,))
 
     def _k_dot_fields(self, name_a: str, name_b: str) -> float:
-        a, b = self.fields[name_a], self.fields[name_b]
-        h, nx = self.h, self.grid.nx
-        return self.omp.parallel_reduce(
-            self.grid.ny,
-            lambda r0, r1: (
-                a[h + r0 : h + r1, h : h + nx] * b[h + r0 : h + r1, h : h + nx]
-            ).ravel(),
-        )
+        return self._reduce(lb.dot_fields, (name_a, name_b))
 
     def _k_copy_field(self, src: str, dst: str) -> None:
         s, d = self.fields[src], self.fields[dst]
@@ -307,22 +184,12 @@ class OpenMP3Port(Port):
         )
 
     def _k_tea_leaf_finalise(self) -> None:
-        f = self.fields
-        self.omp.parallel_for(
-            self.grid.ny,
-            lambda r0, r1: lb.finalise_slab(
-                f[F.ENERGY1], f[F.U], f[F.DENSITY], self.h, self.grid.nx, r0, r1
-            ),
-        )
+        self._for(lb.tea_leaf_finalise)
 
     def _k_field_summary(self) -> tuple[float, float, float, float]:
-        f = self.fields
         vol, mass, ie, temp = self.omp.parallel_reduce_multi(
             self.grid.ny,
-            lambda r0, r1: lb.field_summary_slab(
-                f[F.DENSITY], f[F.ENERGY1], f[F.U], self.grid.cell_volume,
-                self.h, self.grid.nx, r0, r1,
-            ),
+            lambda r0, r1: lb.field_summary(self._slab(r0, r1), ()),
             width=4,
         )
         return vol, mass, ie, temp

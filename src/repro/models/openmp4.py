@@ -55,7 +55,8 @@ class _DeviceFieldView:
 class OpenMP4Port(OpenMP3Port):
     """OpenMP C loop bodies under 4.0 target offload directives."""
 
-    #: Region label; the 4.5 subclass switches to the nowait form.
+    #: Region label; the 4.5 subclass switches to the nowait form, the
+    #: OpenACC one to ``acc kernels``.
     _region_label = "target"
 
     #: Each launch is a synchronous target region — a hard fence the plan
@@ -66,7 +67,7 @@ class OpenMP4Port(OpenMP3Port):
         super().__init__(grid, trace, dialect="f90")
         self.model_name = "openmp4"
         self.env = DeviceDataEnvironment(self.trace)
-        self._data_region: TargetDataRegion | None = None
+        self._data_region = None
 
     # ------------------------------------------------------------------ #
     # residency
@@ -77,33 +78,43 @@ class OpenMP4Port(OpenMP3Port):
             return _DeviceFieldView(self.env)
         return self._host_fields
 
+    def _lookup(self):
+        # Through :attr:`fields` on every lookup: inside the data region
+        # an unmapped name raises, as a missing map clause would.
+        return lambda name: self.fields[name]
+
+    def _data_region_for(self, to, tofrom, alloc):
+        """The solve's ``target data map(to:) map(tofrom:) map(alloc:)``."""
+        return TargetDataRegion(
+            self.env, map_to=to, map_tofrom=tofrom, map_alloc=alloc
+        )
+
     def begin_solve(self) -> None:
         if self._data_region is not None:
             if self._residency_enabled:
                 # Persistent region: still open from the previous step.
                 return
-            raise ModelError("solve target data region is already open")
+            raise ModelError("solve data region is already open")
         hf = self._host_fields
         # density is read-only on the device; energy1 and u are both
         # produced on the device and consumed by the host summary.
-        map_to = {F.DENSITY: hf[F.DENSITY]}
+        to = {F.DENSITY: hf[F.DENSITY]}
         if self._residency_enabled:
             # With the region held open across steps, set_field runs inside
             # it on every step after the first, so its read-only input must
             # be mapped too.
-            map_to[F.ENERGY0] = hf[F.ENERGY0]
-        region = TargetDataRegion(
-            self.env,
-            map_to=map_to,
-            map_tofrom={F.ENERGY1: hf[F.ENERGY1], F.U: hf[F.U]},
-            map_alloc={name: hf[name] for name in _ALLOC_FIELDS},
+            to[F.ENERGY0] = hf[F.ENERGY0]
+        region = self._data_region_for(
+            to,
+            {F.ENERGY1: hf[F.ENERGY1], F.U: hf[F.U]},
+            {name: hf[name] for name in _ALLOC_FIELDS},
         )
         region.__enter__()
         self._data_region = region
 
     def end_solve(self) -> None:
         if self._data_region is None:
-            raise ModelError("no open solve target data region")
+            raise ModelError("no open solve data region")
         if self._residency_enabled:
             # Residency tracking hoists the data region above the timestep
             # loop: leave it open, host reads go through target update.

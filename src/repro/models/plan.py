@@ -1064,6 +1064,11 @@ class PlanExecutor:
         #: plan completes (the liveness pass's
         #: :attr:`FieldLiveness.releases`).  Empty costs one lookup.
         self.poison_after: dict[str, tuple[str, ...]] = {}
+        #: Fields NaN-filled right after each ``begin_solve`` barrier (the
+        #: liveness pass's :attr:`FieldLiveness.dead_at_entry`): inside
+        #: the step's data region, so the fill reaches the arrays its
+        #: kernels read.
+        self.poison_at_entry: tuple[str, ...] = ()
 
     def poison(self, names: Sequence[str]) -> None:
         """NaN-fill ``names`` in the device arrays of every chunk.
@@ -1133,6 +1138,10 @@ class PlanExecutor:
                     m.note_scalar(step.out, value)
             elif isinstance(step, BarrierStep):
                 getattr(port, step.method)()
+                if step.method == "begin_solve" and self.poison_at_entry:
+                    # Every such field is def-before-use within a step, so
+                    # a NaN floor here can only surface stale-read bugs.
+                    self.poison(self.poison_at_entry)
             elif isinstance(step, FaultStep):
                 if m is not None:
                     for op in step.ops:

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.deck import Deck, default_deck, parse_deck

@@ -10,7 +10,6 @@ from repro.core import fields as F
 from repro.core import operators as ops
 from repro.core.deck import default_deck, parse_deck
 from repro.core.driver import TeaLeaf
-from repro.models.base import available_models
 
 
 def decks(n=32, eps=1e-10):

@@ -9,7 +9,6 @@ from repro.core import operators as ops
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.core.solvers import make_solver, solver_names
-from repro.models.base import make_port
 from repro.util.errors import ConvergenceError
 
 SOLVERS = ["cg", "chebyshev", "ppcg", "jacobi"]

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.core.kernels import KERNELS, KernelClass
+from repro.core.kernels import KERNELS
 from repro.machine.devices import DEVICES
 from repro.machine.roofline import (
     kernel_intensity,
-    place,
     render_roofline,
     ridge_point,
     roofline_report,

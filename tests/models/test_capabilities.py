@@ -7,10 +7,8 @@ from repro.core.grid import Grid2D
 from repro.harness.numdiff import LockstepPort
 from repro.machine.workload import TracingStubPort
 from repro.models.base import (
-    Capabilities,
     DeviceKind,
     Port,
-    Support,
     available_models,
     get_model,
     make_port,

@@ -1,12 +1,13 @@
 """The hot paths allocate nothing the size of the mesh.
 
-TeaLeaf is bandwidth bound, so every interior-sized temporary a generated
-body allocates is bytes moved and cache spilled for nothing.  Generated
-per-iteration bodies write through ``out=`` into destination views and
-the port's scratch arrays (see :mod:`repro.models.codegen`), and the
-reduction tree folds without copying its input.  This pins that with
+TeaLeaf is bandwidth bound, so every interior-sized temporary a loop
+body allocates is bytes moved and cache spilled for nothing.  The
+compiled per-iteration ops run the loop bodies of
+:mod:`repro.models.loopbodies`, which write through ``out=`` into
+destination views and their slab's scratch block, and the reduction
+tree folds without copying its input.  This pins that with
 ``tracemalloc`` (NumPy reports its data buffers to it): one warm call of
-each templated op must peak below one interior array's bytes.  The bound
+each lowered op must peak below one interior array's bytes.  The bound
 is not zero because NumPy's iterator buffers on strided views and the
 reduction tree's lane-major work array (half an interior array) are
 allowed.
@@ -15,10 +16,9 @@ allowed.
 the launch to the port's trace, which grows on its own schedule.
 ``tea_leaf_init`` and ``set_field`` run once per timestep and are left out.
 
-The interpreted OpenMP-family ports run the CG iteration through the
-OpenMP-C loop bodies (:mod:`repro.models.loopbodies`), which sweep into
-the scratch block their port holds; a reduction body allocates only the
-fresh contribution vector it returns.
+The interpreted OpenMP-family ports run the same loop bodies on their
+team slab, which holds the same scratch block; a reduction body returns
+its contribution as a view of that block.
 """
 
 import tracemalloc
@@ -68,7 +68,7 @@ def test_every_per_iteration_template_is_pinned():
     ids=lambda p: f"{p[0]}-{p[1]}",
 )
 def warm_ctx(request):
-    """A port's codegen context with finite values in every work field."""
+    """A port's codegen slab with finite values in every work field."""
     model, n = request.param
     app = TeaLeaf(default_deck(n=n, end_step=1), model=model)
     ctx = app.port._codegen_ctx()
@@ -104,39 +104,30 @@ def test_warm_call_peaks_below_one_interior_array(warm_ctx, call):
     )
 
 
-#: The OpenMP CG bodies over a whole ``n x n`` port, each with its
-#: allowed peak as a count of contribution vectors plus fixed bytes: the
-#: stencil and ``beta p + r`` allocate none, and ``p.w`` and ``r.r`` at
-#: most twice the vector they return (NumPy may buffer strided operands).
+#: The OpenMP CG bodies on a port's team slab over the whole ``n x n``
+#: interior, each with its allowed peak as a count of contribution
+#: vectors plus fixed bytes: every contribution is a view of scratch, so
+#: the stencil, ``beta p + r`` and ``cg_calc_ur``'s span sweeps allocate
+#: none, and ``p.w`` at most twice the vector it fills (NumPy may buffer
+#: its two strided operands).
 CG_BODIES = {
-    "matvec_slab": (
-        lambda f, h, n: lb.matvec_slab(f[F.W], f[F.P], f[F.KX], f[F.KY], h, n, 0, n),
-        0, 4096,
-    ),
-    "cg_calc_p_slab": (
-        lambda f, h, n: lb.cg_calc_p_slab(f[F.P], f[F.R], 0.25, h, n, 0, n),
-        0, 4096,
-    ),
-    "cg_calc_w_slab": (
-        lambda f, h, n: lb.cg_calc_w_slab(f[F.W], f[F.P], f[F.KX], f[F.KY], h, n, 0, n),
-        2, 8192,
-    ),
-    "cg_calc_ur_slab": (
-        lambda f, h, n: lb.cg_calc_ur_slab(f[F.U], f[F.R], f[F.P], f[F.W], 0.5, h, n, 0, n),
-        2, 8192,
-    ),
+    "matvec": (lambda slab: slab.matvec(F.P), 0, 4096),
+    "cg_calc_p": (lambda slab: lb.cg_calc_p(slab, (0.25,)), 0, 4096),
+    "cg_calc_w": (lambda slab: lb.cg_calc_w(slab, ()), 2, 8192),
+    "cg_calc_ur": (lambda slab: lb.cg_calc_ur(slab, (0.5,)), 0, 4096),
 }
 
 
 @pytest.mark.parametrize("body", list(CG_BODIES))
 def test_openmp_cg_body_allocates_only_its_contributions(body):
     n = 128
-    port = make_port("openmp-f90", default_deck(n=n).grid())  # holds the scratch
+    port = make_port("openmp-f90", default_deck(n=n).grid())
     f = port.fields
     rng = np.random.default_rng(5)
     for name in (F.U, F.R, F.P, F.W, F.KX, F.KY):
         f[name][...] = rng.random(f[name].shape) + 0.5
+    slab = port._slab(0, n)
     run, vectors, extra = CG_BODIES[body]
     bound = vectors * n * n * np.dtype(np.float64).itemsize + extra
-    peak = _peak(lambda: run(f, port.h, n))
+    peak = _peak(lambda: run(slab))
     assert peak < bound, f"{body} peaked at {peak} bytes, bound {bound}"

@@ -15,8 +15,8 @@ one memoised :func:`solve`, and held to the same contract:
 * the support table: each requested flag a port cannot honour records
   exactly the fallback its ``supports_*`` predict, and nothing else;
 * resilience: every port recovers with the reference's counts;
-* poison: on every deck of two steps or more, a poisoned run ends with
-  a dead field wholly NaN on every chunk, and a run without it with none.
+* poison: at each step's ``end_solve``, a poisoned run has a dead field
+  wholly NaN on every chunk, and a run without it none.
 
 The rows are the shipped, ``jac_diag`` and 4-rank ``tea_bm_short``
 decks, the five 32x32 solver setups for one step and for two, and a
@@ -296,8 +296,8 @@ def has_unoptimised_twin(row):
     return bool(row.flags & {"fuse", "residency"}) and unoptimised(row) in ROW_SET
 
 
-def multi_step_poisonable(row):
-    return row.port in POISONABLE and DECKS[row.deck].end_step > 1
+def poisonable(row):
+    return row.port in POISONABLE
 
 
 def rows_where(applies) -> list:
@@ -318,9 +318,9 @@ class Solved(NamedTuple):
     granted: tuple
     #: Whether the driver armed dead-field poison.
     poisoned: bool
-    #: The fields wholly NaN on every chunk after the run, on ports that
-    #: poison can fill.
-    nan_fields: frozenset | None
+    #: The fields wholly NaN on every chunk at each ``end_solve``, before
+    #: a data region closes, on ports that poison can fill.
+    nan_fields: tuple | None
     u_sha: str | None
     per_step: list
     history: list
@@ -340,6 +340,21 @@ def run_row(row: Row) -> Solved:
         DECKS[row.deck], **{k: v for f in row.flags for k, v in FLAGS[f].items()}
     )
     port = PORTS[row.port](deck)
+    nan_fields = [] if row.port in POISONABLE else None
+    if nan_fields is not None:
+        end_solve = port.end_solve
+
+        def record_nan_fields():
+            nan_fields.append(
+                frozenset(
+                    name
+                    for name in F.FIELD_ORDER
+                    if all(np.isnan(c._device_array(name)).all() for c in port.chunks())
+                )
+            )
+            end_solve()
+
+        port.end_solve = record_nan_fields
     with contextlib.redirect_stderr(io.StringIO()) as err:
         app = TeaLeaf(deck, port=port)
         result = app.run()
@@ -354,14 +369,8 @@ def run_row(row: Row) -> Solved:
         fallbacks=result.fallbacks,
         warnings=err.getvalue().splitlines(),
         granted=(app.executor.fuse, app.executor.codegen),
-        poisoned=bool(app._dead_at_entry),
-        nan_fields=frozenset(
-            name
-            for name in F.FIELD_ORDER
-            if all(np.isnan(c._device_array(name)).all() for c in port.chunks())
-        )
-        if row.port in POISONABLE
-        else None,
+        poisoned=bool(app.executor.poison_at_entry),
+        nan_fields=None if nan_fields is None else tuple(nan_fields),
         u_sha=hashlib.sha256(app.field(F.U).tobytes()).hexdigest()[:16] if has_arrays else None,
         per_step=result.iterations_per_step(),
         history=[(s.solve.error, s.solve.history) for s in result.steps],
@@ -455,15 +464,15 @@ def test_recovery_matches_the_reference(row):
     assert got.journal == ref.journal
 
 
-@pytest.mark.parametrize("row", rows_where(multi_step_poisonable))
+@pytest.mark.parametrize("row", rows_where(poisonable))
 def test_poison_reaches_the_arrays(row):
-    """Poison NaN-fills the fields dead at each step's entry, which the
-    step defines before reading, so one stays NaN in every chunk's arrays
-    to the end; without poison none does.  On decks of two steps or more:
-    the data-region ports take the entry fill in host arrays, so their
-    one-step runs with residency tracking end with none (ROADMAP)."""
+    """Poison NaN-fills the fields dead at each step's entry, inside the
+    step's data region, and the step defines them before reading, so one
+    stays NaN in every chunk's arrays to the step's ``end_solve``;
+    without poison none does."""
     got = solve(row)
-    assert bool(got.nan_fields) == got.poisoned
+    assert len(got.nan_fields) >= DECKS[row.deck].end_step
+    assert all(bool(fields) == got.poisoned for fields in got.nan_fields)
 
 
 #: Ports whose transfers residency tracking cuts: per-solve maps and
@@ -510,7 +519,7 @@ ROW_CHECKS = (
     (test_host_only_flags_keep_the_trace, has_host_only_twin),
     (test_recovery_matches_the_reference, is_resilient),
     (test_optimisations_cut_their_cost, has_unoptimised_twin),
-    (test_poison_reaches_the_arrays, multi_step_poisonable),
+    (test_poison_reaches_the_arrays, poisonable),
 )
 
 

@@ -1,21 +1,23 @@
 """The OpenMP-C loop bodies keep to their reach contract.
 
-Every body of :mod:`repro.models.loopbodies` is written for a static
+Every sweep of :mod:`repro.models.loopbodies` is written for a static
 row slab ``[r0, r1)`` of one shared array set.  The slabs of a team are
-race-free only if a body reads nothing beyond rows ``[h+r0-1, h+r1]``
+race-free only if a sweep reads nothing beyond rows ``[h+r0-1, h+r1]``
 and writes nothing beyond the slab's interior cells.  The same contract
 lets the OpenMP runtime run a whole team as the one slab ``[0, ny)``:
 the per-thread chunks then give the same bits in any order, or all at
 once.  The stencil runs over each slab's span, whose gap cells between
-rows read halo columns and corners, so this pins what the bodies
+rows read halo columns and corners, so this pins what the sweeps
 promise: values outside the slab's interior cells and their four
 neighbours (the depth-2 halo columns, the corners, every row outside
 ``[h+r0-1, h+r1]``) change neither the slab's results nor its
 reduction contributions, and no cell outside the slab's interior rows
 by interior columns is written.
 
-Each body is driven from its signature: ``np.ndarray`` parameters get
-fresh arrays, ``float`` ones a scalar, ``bool`` ones a flag.
+Each sweep runs on a :class:`~repro.models.loopbodies.Slab` over fresh
+arrays of every field, with the args :data:`SWEEPS` gives it and with
+its scratch block NaN-filled first, so a sweep that reads scratch it
+has not written fails as well.
 """
 
 import inspect
@@ -24,24 +26,51 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import fields as F
+from repro.core.grid import Grid2D
+from repro.core.operators import CONDUCTIVITY, RECIP_CONDUCTIVITY
 from repro.models import loopbodies as lb
+from repro.models.stencil import scratch
 
-#: Every slab body: each public function of the module over rows
-#: ``[r0, r1)``.
-BODIES = [
-    f
-    for name, f in inspect.getmembers(lb, inspect.isfunction)
-    if f.__module__ == lb.__name__
-    and not name.startswith("_")
-    and {"r0", "r1"} <= set(inspect.signature(f).parameters)
-]
+#: Drawn scalars and the drawn coefficient mode, in an args template.
+X, Y, MODE = "<x>", "<y>", "<mode>"
+
+#: Every slab sweep and the template of its args.
+SWEEPS = {
+    lb.set_field: (),
+    lb.tea_leaf_init: (X, MODE),
+    lb.tea_leaf_residual: (),
+    lb.cg_init: (),
+    lb.cg_calc_w: (),
+    lb.cg_calc_ur: (X,),
+    lb.cg_calc_p: (X,),
+    lb.ppcg_calc_p: (X,),
+    lb.cheby_init: (X,),
+    lb.cheby_calc_u: (),
+    lb.cheby_iterate_r: (),
+    lb.cheby_iterate_sd: (X, Y),
+    lb.ppcg_precon_init: (X,),
+    lb.ppcg_inner_w: (),
+    lb.ppcg_inner_sd: (X, Y),
+    lb.cg_precon_jacobi: (),
+    lb.jacobi_iterate: (),
+    lb.norm2_field: (F.R,),
+    lb.dot_fields: (F.R, F.P),
+    lb.tea_leaf_finalise: (),
+    lb.field_summary: (),
+}
+
+#: The whole-array steps, which run once outside any slab.
+WHOLE_ARRAY = {lb.zero_walls, lb.stash_u, lb.copy_field}
 
 
-def test_every_slab_body_is_found():
-    names = {f.__name__ for f in BODIES}
-    assert {"matvec_slab", "residual_slab", "cg_calc_w_slab",
-            "cheby_iterate_r_slab", "jacobi_iterate_slab"} <= names
-    assert len(names) >= 15
+def test_every_body_is_pinned():
+    public = {
+        f
+        for name, f in inspect.getmembers(lb, inspect.isfunction)
+        if f.__module__ == lb.__name__ and not name.startswith("_")
+    }
+    assert public == set(SWEEPS) | WHOLE_ARRAY
 
 
 @st.composite
@@ -65,7 +94,7 @@ def _cover(h, ny, nx, r0, r1):
 
 
 def _bits(value):
-    """uint64 views of a body's result: ``None``, an array or a tuple."""
+    """uint64 copies of a sweep's result: ``None``, an array or a tuple."""
     if value is None:
         return None
     if isinstance(value, tuple):
@@ -73,33 +102,33 @@ def _bits(value):
     return np.asarray(value, dtype=np.float64).view(np.uint64).copy()
 
 
-def _run(body, arrays, scalars, geometry):
-    """Call ``body`` on copies of ``arrays``; (result, arrays after)."""
+def _run(body, arrays, args, grid, r0, r1):
+    """``body`` on copies of ``arrays``: (result bits, arrays after).
+
+    The result is copied at once: it may be a view of the scratch block
+    that the next run overwrites.
+    """
     arrays = {name: a.copy() for name, a in arrays.items()}
-    kwargs = {**arrays, **scalars, **geometry}
-    return body(**kwargs), arrays
+    slab = lb.Slab(arrays.__getitem__, grid, r0, r1)
+    scratch(r1 - r0, slab.pitch).fill(np.nan)
+    return _bits(body(slab, args)), arrays
 
 
-@pytest.mark.parametrize("body", BODIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("body", list(SWEEPS), ids=lambda f: f.__name__)
 @given(case=slabs())
 @settings(max_examples=40, deadline=None)
 def test_slab_reads_only_its_cover_and_writes_only_its_interior(body, case):
     h, ny, nx, r0, r1, seed, flag = case
     rng = np.random.default_rng(seed)
+    grid = Grid2D(nx=nx, ny=ny, halo=h)
     shape = (ny + 2 * h, nx + 2 * h)
-    arrays, scalars = {}, {}
-    for name, param in inspect.signature(body).parameters.items():
-        kind = param.annotation
-        if kind == "np.ndarray":
-            arrays[name] = rng.random(shape) + 0.5
-        elif kind == "float":
-            scalars[name] = float(rng.uniform(0.5, 2.0))
-        elif kind == "bool":
-            scalars[name] = flag
-    geometry = {"h": h, "nx": nx, "r0": r0, "r1": r1}
-    assert arrays and set(arrays) | set(scalars) | set(geometry) == set(
-        inspect.signature(body).parameters
-    )
+    arrays = {name: rng.random(shape) + 0.5 for name in F.FIELD_ORDER}
+    drawn = {
+        X: float(rng.uniform(0.5, 2.0)),
+        Y: float(rng.uniform(0.5, 2.0)),
+        MODE: RECIP_CONDUCTIVITY if flag else CONDUCTIVITY,
+    }
+    args = tuple(drawn.get(a, a) for a in SWEEPS[body])
 
     outside = ~_cover(h, ny, nx, r0, r1)
     poisoned = {}
@@ -108,12 +137,15 @@ def test_slab_reads_only_its_cover_and_writes_only_its_interior(body, case):
         p[outside] = np.nan
         poisoned[name] = p
 
-    want, finite_after = _run(body, arrays, scalars, geometry)
-    got, poisoned_after = _run(body, poisoned, scalars, geometry)
+    want, finite_after = _run(body, arrays, args, grid, r0, r1)
+    got, poisoned_after = _run(body, poisoned, args, grid, r0, r1)
 
     interior = np.zeros(shape, dtype=bool)
     interior[h + r0 : h + r1, h : h + nx] = True
     for name in arrays:
+        assert not np.isnan(finite_after[name][interior]).any(), (
+            f"{name}: slab interior read unwritten scratch"
+        )
         np.testing.assert_array_equal(
             _bits(poisoned_after[name][interior]),
             _bits(finite_after[name][interior]),
@@ -128,7 +160,7 @@ def test_slab_reads_only_its_cover_and_writes_only_its_interior(body, case):
     if want is None:
         assert got is None
     else:
-        w, g = _bits(want), _bits(got)
-        pairs = zip(w, g) if isinstance(w, tuple) else [(w, g)]
+        pairs = zip(want, got) if isinstance(want, tuple) else [(want, got)]
         for a, b in pairs:
+            assert not np.isnan(a.view(np.float64)).any(), "contribution read scratch"
             np.testing.assert_array_equal(b, a, err_msg="contributions differ")

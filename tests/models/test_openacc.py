@@ -5,7 +5,7 @@ import pytest
 
 from repro.models.openacc.directives import AccDataRegion, kernels_region, loop
 from repro.models.openmp.directives import DeviceDataEnvironment
-from repro.models.tracing import EventKind, Trace, TransferDirection
+from repro.models.tracing import EventKind, Trace
 from repro.util.errors import ModelError
 
 

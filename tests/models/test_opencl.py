@@ -9,7 +9,6 @@ from repro.models.opencl import (
     CommandQueue,
     Context,
     DeviceType,
-    Kernel,
     MemFlags,
     Program,
     get_platforms,

@@ -160,13 +160,15 @@ class PerThreadRuntime(OpenMPRuntime):
 
     Replays ``static_chunks(n, num_threads)`` one chunk at a time, last
     thread first, and concatenates reduction contributions in thread
-    order.
+    order.  Each chunk's contribution is copied at once, as a thread's
+    private partial would be: a loop body returns a view of scratch that
+    the next chunk of its size overwrites.
     """
 
     def _replay(self, n, body):
         self.regions += 1
         chunks = static_chunks(n, self.num_threads)
-        results = {chunk: body(*chunk) for chunk in reversed(chunks)}
+        results = {chunk: _private(body(*chunk)) for chunk in reversed(chunks)}
         return [results[chunk] for chunk in chunks]
 
     def parallel_for(self, n, body):
@@ -185,6 +187,13 @@ class PerThreadRuntime(OpenMPRuntime):
             if parts else 0.0
             for i in range(width)
         )
+
+
+def _private(partial):
+    """A copy of one chunk's contribution, or of each of several."""
+    if isinstance(partial, tuple):
+        return tuple(np.array(p, dtype=np.float64) for p in partial)
+    return np.array(partial, dtype=np.float64)
 
 
 #: (solver, preconditioner, a kernel the solve must launch).  32x32 is the

@@ -29,10 +29,6 @@ from repro.models.plan import (
 from repro.util.errors import CorruptionError
 
 
-def compiled_kinds(plan, fuse=True):
-    return [type(s).__name__ for s in plan.compiled(fuse)]
-
-
 class TestFusionLegality:
     def test_precondition_and_dot_fuse(self):
         # The PCG tail's precondition + r.z pair: z is written same-cell,

@@ -146,7 +146,7 @@ def test_poison_runs_on_every_chunk_of_a_decomposed_port():
     chunk's arrays, records no fallback and changes no bit of u."""
     row = Row("cg-jac_diag@2", "openmp-f90x2", flags("poison"))
     harness.check(row)
-    assert F.Z in harness.solve(row).nan_fields
+    assert all(F.Z in fields for fields in harness.solve(row).nan_fields)
 
 
 def test_poison_catches_a_stale_read_on_a_decomposed_port():

@@ -9,7 +9,6 @@ mode, proving the vectorised fast path implements the per-item semantics
 """
 
 import numpy as np
-import pytest
 
 from repro.core import fields as F
 from repro.core.deck import default_deck

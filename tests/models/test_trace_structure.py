@@ -6,8 +6,6 @@ than Chebyshev, which is why the offload and manual-reduction models pay
 the most on CG.  These tests pin those mechanisms down quantitatively.
 """
 
-import pytest
-
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.models.tracing import EventKind

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine.devices import GPU_K20X, KNC_5110P
+from repro.machine.devices import GPU_K20X
 from repro.models.base import DeviceKind
 from repro.profiles.analysis import (
     PROFILES,

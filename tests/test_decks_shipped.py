@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.core.deck import parse_deck_file
 from repro.core.driver import TeaLeaf
 
