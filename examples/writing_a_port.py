@@ -136,21 +136,32 @@ def with_kernel_plan() -> None:
 
     A TeaLeaf port no longer re-implements the ~20-kernel call sequence:
     it supplies ``_k_<op>`` primitive bodies (plus a residency adapter
-    for offload models) and inherits dispatch, tracing, fusion, and
-    residency tracking from ``Port``.  Solvers hand declarative
-    :class:`Plan` objects to a :class:`PlanExecutor`, which is also the
-    one place cross-model optimisation happens: below, the PCG tail's
-    precondition + dot pair runs as two interpreted launches unfused and,
-    fused, as one traversal compiled from the ops' NumPy definitions (a
-    fused group always runs compiled) — with bitwise-identical scalars.
+    for offload models) and inherits its one entry, ``Port.dispatch``,
+    with tracing, fusion, and residency tracking, from ``Port``.  Solvers
+    hand declarative :class:`Plan` objects to a :class:`PlanExecutor`,
+    which runs every op through that entry and is also the one place
+    cross-model optimisation happens: below, after a setup plan, the PCG
+    tail's precondition + dot pair runs as two interpreted launches
+    unfused and, fused, as one traversal compiled from the ops' NumPy
+    definitions (a fused group always runs compiled) — with
+    bitwise-identical scalars.
     """
     from repro.core import fields as F
     from repro.core.deck import default_deck
     from repro.models.base import make_port
-    from repro.models.plan import KernelCall, Plan, PlanExecutor
+    from repro.models.plan import BarrierStep, KernelCall, Plan, PlanExecutor
     from repro.models.tracing import Trace
 
     deck = default_deck(n=16, solver="cg", end_step=1)
+    setup = Plan(
+        "setup",
+        (
+            KernelCall("set_field"),
+            BarrierStep("begin_solve"),
+            KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient)),
+            KernelCall("cg_init"),
+        ),
+    )
     plan = Plan(
         "pcg_tail_fragment",
         (
@@ -168,10 +179,7 @@ def with_kernel_plan() -> None:
             lambda j, i: 1.0 + 0.1 * (i + 2 * j), grid.shape
         )
         port.set_state(density, energy)
-        port.set_field()
-        port.begin_solve()
-        port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
-        port.cg_init()
+        PlanExecutor(port).run(setup)
         launches_before = trace.kernel_launches()
         env = PlanExecutor(port, fuse=fuse).run(plan)
         scalars[fuse] = env["rrz"]

@@ -166,16 +166,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if args.precon != "none":
         deck = dataclasses.replace(deck, tl_preconditioner_type=args.precon)
     if getattr(args, "liveness", False):
-        try:
-            return _cmd_plan_liveness(args, deck)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    try:
-        fragments = solver_plan_fragments(deck)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+        return _cmd_plan_liveness(args, deck)
+    fragments = solver_plan_fragments(deck)
     executor = PlanExecutor(
         make_port(args.model, deck.grid(), Trace()),
         fuse=args.fuse,

@@ -460,11 +460,19 @@ class MultiChunkPort(Port):
     def dispatch(self, call: KernelCall):
         """Run one operation on every chunk; allreduce its partials.
 
-        A field summary's four components are reduced one by one.
+        ``tea_leaf_init`` first exchanges the densities its chunk-edge
+        coefficients need, and afterwards recomputes the coefficients it
+        zeroed as walls on internal edges.  A field summary's four
+        components are reduced one by one.
         """
+        if call.op == "tea_leaf_init":
+            self._dt, self._coefficient = call.args
+            self.update_halo((F.DENSITY, F.ENERGY1), depth=1)
         if not call.spec.reduction:
             for port in self.ports:
                 port.dispatch(call)
+            if call.op == "tea_leaf_init":
+                self._fixup_internal_edges()
             return None
         self._check_ranks()
         partials = [port.dispatch(call) for port in self.ports]
@@ -476,14 +484,6 @@ class MultiChunkPort(Port):
                 for component in range(4)
             )
         return self.world.allreduce_sum(partials, ranks=self.rank_of_chunk)
-
-    def tea_leaf_init(self, dt: float, coefficient: str) -> None:
-        self._dt = dt
-        self._coefficient = coefficient
-        # Coefficients at chunk edges need neighbour densities.
-        self.update_halo((F.DENSITY, F.ENERGY1), depth=1)
-        self.dispatch(KernelCall("tea_leaf_init", (dt, coefficient)))
-        self._fixup_internal_edges()
 
     def _fixup_internal_edges(self) -> None:
         """Recompute face coefficients zeroed as 'walls' on internal edges."""

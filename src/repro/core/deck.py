@@ -204,21 +204,15 @@ class Deck:
                 parse_injections(self.tl_inject)
             except ValueError as exc:
                 raise DeckError(f"bad tl_inject spec: {exc}") from exc
-        if self.tl_poison_dead_fields:
+        if self.tl_poison_dead_fields and (self.tl_resilient or self.tl_inject):
             # Checkpoints validate every captured field as finite, so a
             # poisoned dead field would read as corruption: the resilience
-            # layer is out.  The explicit solver builds no plans to analyse.
-            if self.tl_resilient or self.tl_inject:
-                raise DeckError(
-                    "tl_poison_dead_fields is incompatible with "
-                    "tl_resilient/tl_inject (checkpoints reject the "
-                    "NaN-filled dead fields as corruption)"
-                )
-            if self.solver == "explicit":
-                raise DeckError(
-                    "tl_poison_dead_fields needs a plan-based solver "
-                    "(explicit has no plan IR to run liveness on)"
-                )
+            # layer is out.
+            raise DeckError(
+                "tl_poison_dead_fields is incompatible with "
+                "tl_resilient/tl_inject (checkpoints reject the "
+                "NaN-filled dead fields as corruption)"
+            )
         if self.states and not any(s.index == 1 for s in self.states):
             raise DeckError("state 1 (the background) is missing")
 

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.solvers import Solver, SolveResult, make_solver
 from repro.core.state import generate_chunk
+from repro.models.plan import KernelCall
 from repro.util.errors import CorruptionError, RankFailureError
 from repro.util.timing import TimerRegistry
 
@@ -308,7 +309,8 @@ class TeaLeaf:
                         continue
                 if want_summary:
                     with self.timers["summary"], self.trace.section("summary"):
-                        summary = FieldSummary(*self.port.field_summary())
+                        totals = self.port.dispatch(KernelCall("field_summary"))
+                        summary = FieldSummary(*totals)
                 break
             except RankFailureError as exc:
                 # A rank died outside the solver's own recovery window

@@ -52,9 +52,6 @@ def solver_plan_fragments(deck):
     one solve, suitable for rendering or fusion inspection.  Data-driven
     plans (PPCG's polynomial preconditioner bakes in the eigenvalue
     estimate) are built from a representative estimate.
-
-    The explicit solver runs outside the plan machinery (it has its own
-    dedicated sweep kernel), so it raises :class:`ValueError`.
     """
     from repro.core.solvers.base import (
         CG_ITER_BODY,
@@ -64,6 +61,7 @@ def solver_plan_fragments(deck):
     )
     from repro.core.solvers.cg import PCG_ITER_BODY, PCG_ITER_TAIL, PCG_SETUP
     from repro.core.solvers.cheby import CHEBY_CHECK, CHEBY_HEAD, CHEBY_STEP
+    from repro.core.solvers.explicit import EXPLICIT_INIT, EXPLICIT_SUBSTEP
     from repro.core.solvers.jacobi import JACOBI_INIT, JACOBI_RESIDUAL, JACOBI_STEP
     from repro.core.solvers.ppcg import (
         PPCG_ITER_TAIL,
@@ -72,6 +70,8 @@ def solver_plan_fragments(deck):
         polynomial_preconditioner_plan,
     )
 
+    if deck.solver == "explicit":
+        return [EXPLICIT_INIT, EXPLICIT_SUBSTEP]
     if deck.solver == "jacobi":
         return [JACOBI_INIT, JACOBI_STEP, JACOBI_RESIDUAL]
     if deck.solver == "cg":
@@ -81,16 +81,14 @@ def solver_plan_fragments(deck):
     cg_fragments = [SOLVE_INIT, CG_ITER_HEAD, CG_ITER_BODY, CG_ITER_TAIL]
     if deck.solver == "chebyshev":
         return cg_fragments + [CHEBY_HEAD, CHEBY_STEP, CHEBY_CHECK]
-    if deck.solver == "ppcg":
-        estimate = EigenEstimate(eigen_min=0.1, eigen_max=4.0)
-        return cg_fragments + [
-            PPCG_RESTART,
-            polynomial_preconditioner_plan(estimate, deck.tl_ppcg_inner_steps),
-            PPCG_RESTART_TAIL,
-            PCG_ITER_BODY,
-            PPCG_ITER_TAIL,
-        ]
-    raise ValueError(f"solver '{deck.solver}' does not execute through plans")
+    estimate = EigenEstimate(eigen_min=0.1, eigen_max=4.0)
+    return cg_fragments + [
+        PPCG_RESTART,
+        polynomial_preconditioner_plan(estimate, deck.tl_ppcg_inner_steps),
+        PPCG_RESTART_TAIL,
+        PCG_ITER_BODY,
+        PPCG_ITER_TAIL,
+    ]
 
 
 def solver_timeline(deck):
@@ -104,7 +102,9 @@ def solver_timeline(deck):
     fragments stay single.
     """
     fragments = solver_plan_fragments(deck)
-    if deck.solver == "jacobi":
+    if deck.solver == "explicit":
+        loop = {"explicit_substep"}
+    elif deck.solver == "jacobi":
         loop = {"jacobi_step", "jacobi_residual"}
     elif deck.solver == "cg":
         loop = {

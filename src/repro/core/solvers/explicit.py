@@ -11,8 +11,8 @@ the test-suite.
 Implementation note: one explicit Euler step is ``u <- 2u - A u`` (with
 the face coefficients built for the sub-step), which is exactly a
 Chebyshev init sweep with ``theta = 1`` after refreshing ``u0 = u`` — so
-the solver composes entirely from the existing port kernel set and runs
-on every programming model unchanged.
+the solver composes entirely from the existing port kernel set, as two
+plans the executor runs on every programming model unchanged.
 """
 
 from __future__ import annotations
@@ -23,12 +23,30 @@ from typing import TYPE_CHECKING
 from repro.core import fields as F
 from repro.core.deck import Deck
 from repro.core.solvers.base import Solver, SolveResult
+from repro.models.plan import Bind, HaloStep, KernelCall, Plan, executor_for
 
 if TYPE_CHECKING:  # avoid a core <-> models import cycle
     from repro.models.base import Port
 
 #: Fraction of the stability limit to run at (the classic safety margin).
 STABILITY_SAFETY = 0.9
+
+#: Rebuild the face coefficients for the stable sub-step.
+EXPLICIT_INIT = Plan(
+    "explicit_init",
+    (KernelCall("tea_leaf_init", (Bind("dt"), Bind("coefficient"))),),
+)
+
+#: One forward-Euler sub-step: the right-hand side is the current u, and
+#: u += (u0 - A u) is a Chebyshev init sweep with theta = 1.
+EXPLICIT_SUBSTEP = Plan(
+    "explicit_substep",
+    (
+        KernelCall("copy_field", (F.U, F.U0)),
+        HaloStep((F.U,), depth=1),
+        KernelCall("cheby_init", (1.0,)),
+    ),
+)
 
 
 def stability_sum(port: "Port") -> float:
@@ -71,12 +89,13 @@ class ExplicitSolver(Solver):
                 residual=float("nan"),
             )
 
-        # Rebuild coefficients for the stable sub-step.
-        port.tea_leaf_init(dt / substeps, deck.tl_coefficient)
+        ex = executor_for(port)
+        ex.run(
+            EXPLICIT_INIT,
+            {"dt": dt / substeps, "coefficient": deck.tl_coefficient},
+        )
         for _ in range(substeps):
-            port.copy_field(F.U, F.U0)  # RHS of this sub-step is current u
-            port.update_halo((F.U,), depth=1)
-            port.cheby_init(theta=1.0)  # u += (u0 - A u) == explicit Euler
+            ex.run(EXPLICIT_SUBSTEP)
 
         return SolveResult(
             solver=self.name,

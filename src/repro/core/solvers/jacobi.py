@@ -25,11 +25,13 @@ if TYPE_CHECKING:  # avoid a core <-> models import cycle
 #: (the sweep itself detects corruption through the change reduction).
 JACOBI_INIT = Plan("jacobi_init", (KernelCall("cg_init", out="rr0"),))
 
-#: One sweep: u from the neighbours of the stashed previous iterate.
+#: One sweep: stash the previous iterate in r (its only free array),
+#: then update u from the neighbours of the stash.
 JACOBI_STEP = Plan(
     "jacobi_step",
     (
         HaloStep((F.U,), depth=1),
+        KernelCall("copy_field", (F.U, F.R)),
         KernelCall("jacobi_iterate", out="change"),
     ),
 )

@@ -152,7 +152,7 @@ class LockstepPort(Port):
     """
 
     model_name = "lockstep"
-    #: The facade exists to observe every public kernel call; dead-field
+    #: The facade exists to observe every dispatched call; dead-field
     #: poison writes device arrays directly and would bypass the per-call
     #: comparison (it reaches only the reference port), so it is refused
     #: and the fallback recorded instead of silently degrading the

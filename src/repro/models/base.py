@@ -72,9 +72,10 @@ class Port(ABC):
 
     Authoring a port means implementing the four data methods plus one
     ``_k_<op>`` primitive per entry of :data:`repro.models.plan.OPS` the
-    deck's solver needs; the public kernel methods below are shared
-    dispatch shims that trace the launch, run the primitive, and report
-    written fields to the residency adapter.
+    deck's solver needs.  Every op runs through one entry,
+    :meth:`dispatch`, which traces the launch, runs the primitive, and
+    reports written fields to the residency adapter; a port that wraps
+    other ports overrides :meth:`dispatch` itself.
     """
 
     #: Registry name of the model this port belongs to (set by subclasses).
@@ -99,7 +100,7 @@ class Port(ABC):
     #: Whether dead-field poison (``tl_poison_dead_fields``) may NaN-fill
     #: this port's fields.  It declares that :meth:`_device_array` of
     #: every port in :meth:`chunks` returns the arrays the kernels use.
-    #: Proxies that must observe every public kernel call (the lockstep
+    #: Proxies that must observe every dispatched call (the lockstep
     #: numerics harness) opt out, and the fallback is recorded.
     supports_poison: bool = True
 
@@ -248,7 +249,11 @@ class Port(ABC):
         """
 
     def dispatch(self, call: KernelCall):
-        """Trace and run one operation from the kernel table."""
+        """Trace and run one operation from the kernel table.
+
+        The one entry of every op, in plans and out of them; ``call``'s
+        args are already resolved.
+        """
         op = OPS[call.op]
         self._launch(op.kernel)
         result = self._primitive(call.op)(*call.args)
@@ -293,90 +298,6 @@ class Port(ABC):
 
             ctx = self._codegen_ctx_cache = Slab(self._device_array, self.grid)
         return ctx
-
-    # ------------------------------------------------------------------ #
-    # the TeaLeaf kernel set (shared shims over the _k_* primitives)
-    # ------------------------------------------------------------------ #
-    def set_field(self) -> None:
-        """energy1 = energy0."""
-        self.dispatch(KernelCall("set_field"))
-
-    def tea_leaf_init(self, dt: float, coefficient: str) -> None:
-        """u = u0 = energy1*density; build kx, ky with rx/ry folded in."""
-        self.dispatch(KernelCall("tea_leaf_init", (dt, coefficient)))
-
-    def tea_leaf_residual(self) -> None:
-        """r = u0 - A u."""
-        self.dispatch(KernelCall("tea_leaf_residual"))
-
-    def cg_init(self) -> float:
-        """w = A u; r = u0 - w; p = r; returns rro = r.r."""
-        return self.dispatch(KernelCall("cg_init"))
-
-    def cg_calc_w(self) -> float:
-        """w = A p; returns pw = p.w."""
-        return self.dispatch(KernelCall("cg_calc_w"))
-
-    def cg_calc_ur(self, alpha: float) -> float:
-        """u += alpha p; r -= alpha w; returns rrn = r.r."""
-        return self.dispatch(KernelCall("cg_calc_ur", (alpha,)))
-
-    def cg_calc_p(self, beta: float) -> None:
-        """p = r + beta p."""
-        self.dispatch(KernelCall("cg_calc_p", (beta,)))
-
-    def cheby_init(self, theta: float) -> None:
-        """r = u0 - A u; sd = r/theta; u += sd."""
-        self.dispatch(KernelCall("cheby_init", (theta,)))
-
-    def cheby_iterate(self, alpha: float, beta: float) -> None:
-        """r -= A sd; sd = alpha sd + beta r; u += sd."""
-        self.dispatch(KernelCall("cheby_iterate", (alpha, beta)))
-
-    def ppcg_precon_init(self, theta: float) -> None:
-        """w = r; sd = w/theta; z = sd (start the inner Chebyshev solve)."""
-        self.dispatch(KernelCall("ppcg_precon_init", (theta,)))
-
-    def ppcg_precon_inner(self, alpha: float, beta: float) -> None:
-        """w -= A sd; sd = alpha sd + beta w; z += sd."""
-        self.dispatch(KernelCall("ppcg_precon_inner", (alpha, beta)))
-
-    def ppcg_calc_p(self, beta: float) -> None:
-        """p = z + beta p (the preconditioned direction update)."""
-        self.dispatch(KernelCall("ppcg_calc_p", (beta,)))
-
-    def cg_precon_jacobi(self) -> None:
-        """z = r / diag(A): apply the diagonal (jac_diag) preconditioner."""
-        self.dispatch(KernelCall("cg_precon_jacobi"))
-
-    def jacobi_iterate(self) -> float:
-        """u_new from neighbours of old u; returns sum |u_new - u_old|.
-
-        Every port realises the sweep the same way: stash the previous
-        iterate in r (its only free array), then update u from it.
-        """
-        self.copy_field(F.U, F.R)
-        return self.dispatch(KernelCall("jacobi_iterate"))
-
-    def norm2_field(self, name: str) -> float:
-        """Interior squared 2-norm of a field."""
-        return self.dispatch(KernelCall("norm2_field", (name,)))
-
-    def dot_fields(self, a: str, b: str) -> float:
-        """Interior dot product of two fields."""
-        return self.dispatch(KernelCall("dot_fields", (a, b)))
-
-    def copy_field(self, src: str, dst: str) -> None:
-        """dst = src over the whole allocation."""
-        self.dispatch(KernelCall("copy_field", (src, dst)))
-
-    def tea_leaf_finalise(self) -> None:
-        """energy1 = u / density."""
-        self.dispatch(KernelCall("tea_leaf_finalise"))
-
-    def field_summary(self) -> tuple[float, float, float, float]:
-        """(volume, mass, internal energy, temperature) interior totals."""
-        return self.dispatch(KernelCall("field_summary"))
 
     # ------------------------------------------------------------------ #
     # halo update

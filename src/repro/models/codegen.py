@@ -27,7 +27,6 @@ iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.kernels import KernelSpec
@@ -45,47 +44,35 @@ from repro.models.reduction import deterministic_sum
 Sweep = Callable[[lb.Slab, tuple], object]
 
 
-@dataclass(frozen=True)
-class OpDef:
-    """One op's sweeps, run in order over the whole interior.
-
-    ``launches`` overrides the single traced launch of the op's kernel.
-    """
-
-    sweeps: tuple[Sweep, ...]
-    launches: tuple[str, ...] = ()
-
-
-#: Every op a plan can lower.  ``field_summary`` is absent: the driver
-#: calls it directly on the port, outside any plan.
-OP_DEFS: dict[str, OpDef] = {
-    "set_field": OpDef((lb.set_field,)),
-    "tea_leaf_init": OpDef((lb.tea_leaf_init, lb.zero_walls)),
-    "tea_leaf_residual": OpDef((lb.tea_leaf_residual,)),
-    "cg_init": OpDef((lb.cg_init,)),
-    "cg_calc_w": OpDef((lb.cg_calc_w,)),
-    "cg_calc_ur": OpDef((lb.cg_calc_ur,)),
-    "cg_calc_p": OpDef((lb.cg_calc_p,)),
-    "ppcg_calc_p": OpDef((lb.ppcg_calc_p,)),
-    "cheby_init": OpDef((lb.cheby_init, lb.cheby_calc_u)),
-    "cheby_iterate": OpDef((lb.cheby_iterate_r, lb.cheby_iterate_sd)),
-    "ppcg_precon_init": OpDef((lb.ppcg_precon_init,)),
-    "ppcg_precon_inner": OpDef((lb.ppcg_inner_w, lb.ppcg_inner_sd)),
-    "cg_precon_jacobi": OpDef((lb.cg_precon_jacobi,)),
-    "jacobi_iterate": OpDef(
-        (lb.stash_u, lb.jacobi_iterate), launches=("copy_field", "jacobi_iterate")
-    ),
-    "norm2_field": OpDef((lb.norm2_field,)),
-    "dot_fields": OpDef((lb.dot_fields,)),
-    "copy_field": OpDef((lb.copy_field,)),
-    "tea_leaf_finalise": OpDef((lb.tea_leaf_finalise,)),
+#: Every op a plan can lower, as its sweeps, run in order over the whole
+#: interior.  ``field_summary`` is absent: the driver dispatches it
+#: outside any plan.
+OP_DEFS: dict[str, tuple[Sweep, ...]] = {
+    "set_field": (lb.set_field,),
+    "tea_leaf_init": (lb.tea_leaf_init, lb.zero_walls),
+    "tea_leaf_residual": (lb.tea_leaf_residual,),
+    "cg_init": (lb.cg_init,),
+    "cg_calc_w": (lb.cg_calc_w,),
+    "cg_calc_ur": (lb.cg_calc_ur,),
+    "cg_calc_p": (lb.cg_calc_p,),
+    "ppcg_calc_p": (lb.ppcg_calc_p,),
+    "cheby_init": (lb.cheby_init, lb.cheby_calc_u),
+    "cheby_iterate": (lb.cheby_iterate_r, lb.cheby_iterate_sd),
+    "ppcg_precon_init": (lb.ppcg_precon_init,),
+    "ppcg_precon_inner": (lb.ppcg_inner_w, lb.ppcg_inner_sd),
+    "cg_precon_jacobi": (lb.cg_precon_jacobi,),
+    "jacobi_iterate": (lb.jacobi_iterate,),
+    "norm2_field": (lb.norm2_field,),
+    "dot_fields": (lb.dot_fields,),
+    "copy_field": (lb.copy_field,),
+    "tea_leaf_finalise": (lb.tea_leaf_finalise,),
 }
 
 
 def _op_fn(op: str) -> Sweep:
     """``op``'s sweeps as one ``fn(slab, args)``; a reducing op returns
     its last sweep's contribution folded to a scalar."""
-    *first, last = OP_DEFS[op].sweeps
+    *first, last = OP_DEFS[op]
     if OPS[op].reduction:
 
         def reduce(slab: lb.Slab, args: tuple) -> float:
@@ -135,16 +122,15 @@ def lower_steps(steps: list) -> list:
     Halo, scalar, barrier, fault and guard steps pass through unchanged —
     codegen only replaces kernel *bodies*, so instrumentation points and
     execution order are exactly those of the interpreted plan.  Every
-    member of a legal group has a definition: ``field_summary`` is not
-    fusable and ``jacobi_iterate`` is refused as compound.  A group's
-    halo prefix stays with it: ``Port.dispatch_compiled`` refreshes the
-    halo inside the group's launch, before the members.
+    member of a legal group has a definition, since ``field_summary`` is
+    not fusable.  A group's halo prefix stays with it:
+    ``Port.dispatch_compiled`` refreshes the halo inside the group's
+    launch, before the members.
     """
     out: list = []
     for step in steps:
         if isinstance(step, KernelCall) and step.op in OP_DEFS:
-            names = OP_DEFS[step.op].launches or (OPS[step.op].kernel,)
-            out.append(_lower((step,), tuple((n, None) for n in names)))
+            out.append(_lower((step,), ((step.spec.kernel, None),)))
         elif isinstance(step, FusedGroup):
             out.append(
                 _lower(step.calls, ((step.spec.name, step.spec),), step.halo)

@@ -17,8 +17,8 @@ Each sweep is one function ``fn(slab, args)`` over the interior rows
 arguments.  A reducing sweep returns its row-major contribution as a view
 of scratch, for the caller to fold through
 :func:`~repro.models.reduction.deterministic_sum` before the next sweep
-of the geometry overwrites it.  :func:`zero_walls`, :func:`stash_u` and
-:func:`copy_field` are whole-array steps, run once outside any slab.
+of the geometry overwrites it.  :func:`zero_walls` and :func:`copy_field`
+are whole-array steps, run once outside any slab.
 
 Reach contract: a sweep reads only rows ``[h+r0-1, h+r1]`` and writes
 only the slab's interior cells (rows ``[h+r0, h+r1)`` by columns
@@ -193,11 +193,12 @@ def cg_init(s: Slab, args: tuple) -> np.ndarray:
 
 
 def cg_calc_w(s: Slab, args: tuple) -> np.ndarray:
-    """w = A p; contributes pw = p.w."""
+    """w = A p; contributes pw = p.w, formed over the span."""
     A, I, J = s.array, s.I, s.J
-    w = A(F.W)[I, J]
-    w[...] = s.matvec(F.P)
-    return np.multiply(A(F.P)[I, J], w, out=s.T0)
+    A(F.W)[I, J] = s.matvec(F.P)
+    np.multiply(s.span_of(F.P), s.spans[0], out=s.spans[1])
+    s.T0[...] = s.pitched[1]
+    return s.T0
 
 
 def cg_calc_ur(s: Slab, args: tuple) -> np.ndarray:
@@ -299,13 +300,6 @@ def cg_precon_jacobi(s: Slab, args: tuple) -> None:
     z = A(F.Z)[s.I, s.J]
     diag_into(A(F.KX), A(F.KY), s.at, z)
     np.divide(A(F.R)[s.I, s.J], z, out=z)
-
-
-def stash_u(s: Slab, args: tuple) -> None:
-    """r = u over the whole allocation: the old iterate :func:`jacobi_iterate`
-    reads.  A whole-array step; the interpreted ports run it as their
-    ``copy_field(u, r)``."""
-    s.array(F.R)[...] = s.array(F.U)
 
 
 def jacobi_iterate(s: Slab, args: tuple) -> np.ndarray:

@@ -8,7 +8,7 @@ vectorised NumPy slab, which the loop bodies' reach contract makes bitwise
 the per-thread schedule (see :mod:`repro.models.openmp.runtime`).
 """
 
-from repro.models.openmp.runtime import OpenMPRuntime, simd
+from repro.models.openmp.runtime import OpenMPRuntime
 from repro.models.openmp.directives import (
     DeviceDataEnvironment,
     TargetDataRegion,
@@ -17,7 +17,6 @@ from repro.models.openmp.directives import (
 
 __all__ = [
     "OpenMPRuntime",
-    "simd",
     "DeviceDataEnvironment",
     "TargetDataRegion",
     "target",

@@ -24,14 +24,11 @@ That is bitwise what running the team chunk by chunk gives:
 
 from __future__ import annotations
 
-import functools
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
 from repro.models.reduction import deterministic_sum
-
-T = TypeVar("T")
 
 #: Default team size: the paper's CPU runs use dual-socket E5-2670 with 16
 #: threads and compact affinity (§4.1).
@@ -132,24 +129,3 @@ class OpenMPRuntime:
 def _contribution(value) -> np.ndarray:
     """A body's reduction result as a flat float64 contribution vector."""
     return np.atleast_1d(np.asarray(value, dtype=np.float64)).ravel()
-
-
-def simd(fn: Callable[..., T]) -> Callable[..., T]:
-    """``#pragma omp simd`` marker.
-
-    Numerically a no-op (the NumPy body is already vector code); it tags the
-    wrapped loop body so ports can declare which loops they force-vectorise.
-    The RAJA-SIMD proof-of-concept variant from §4.1 uses this marker.
-    """
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-
-    wrapper.__omp_simd__ = True  # type: ignore[attr-defined]
-    return wrapper
-
-
-def is_simd(fn: Callable) -> bool:
-    """True when a loop body has been marked with :func:`simd`."""
-    return getattr(fn, "__omp_simd__", False)

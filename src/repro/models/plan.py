@@ -5,9 +5,9 @@ logic* and differ only in how each wraps kernel dispatch, data residency,
 and reductions.  This module makes that shared structure explicit: solvers
 build :class:`Plan` objects — flat sequences of kernel calls, halo
 exchanges, and scalar recurrences — and a :class:`PlanExecutor` replays
-them against any port.  Each port then needs only a table of ``_k_*``
-primitives plus a residency adapter (see ``models/base.py``); the ~20
-imperative per-port kernel methods collapse into the shared dispatch core.
+them against any port through its one entry, ``Port.dispatch``.  Each
+port then needs only a table of ``_k_*`` primitives plus a residency
+adapter (see ``models/base.py``).
 
 Because the plan knows, per operation, which fields are read (and which of
 those through the 5-point stencil), which are written, and whether a global
@@ -111,8 +111,8 @@ def _op(name: str, **kw: Any) -> tuple[str, OpSpec]:
 
 from repro.core import fields as F  # noqa: E402  (table needs the names)
 
-#: Every port-level operation a plan may call, keyed by the public
-#: ``Port`` method name.  ``fusable=False`` marks operations whose bodies
+#: Every port-level operation a plan may call, keyed by the name of its
+#: ``_k_<op>`` primitive.  ``fusable=False`` marks operations whose bodies
 #: are multi-sweep (cheby/ppcg inner) or whose port implementations differ
 #: structurally (copy_field is a D2D memcpy on CUDA, a deep_copy on
 #: Kokkos) — fusing those would change trace structure per model.
@@ -206,7 +206,7 @@ OPS: dict[str, OpSpec] = dict(
             "jacobi_iterate",
             reads=(F.U, F.U0, F.KX, F.KY, F.R),
             stencil_reads=(F.R, F.KX, F.KY),
-            writes=(F.U, F.R),
+            writes=(F.U,),
             reduction=True,
         ),
         _op("norm2_field", kernel="norm2", reads_args=True, reduction=True, fusable=True),
@@ -245,7 +245,7 @@ class Bind:
 
 @dataclass(frozen=True)
 class KernelCall:
-    """One port operation: ``env[out] = port.<op>(*args)``."""
+    """One port operation: ``env[out] = port.dispatch(call)``."""
 
     op: str
     args: tuple[Any, ...] = ()
@@ -387,13 +387,6 @@ class CompiledKernel:
 Step = Any  # KernelCall | HaloStep | ... | FusedGroup | FaultStep | GuardStep
 
 
-#: Ops whose public ``Port`` method dispatches more than the op itself:
-#: ``jacobi_iterate`` first stashes u in r through ``copy_field``.  A
-#: group runs its members through their primitives, so such an op never
-#: runs inside one.
-_COMPOUND_OPS = frozenset({"jacobi_iterate"})
-
-
 def fusion_reason(calls: tuple[KernelCall, ...]) -> str | None:
     """Why ``calls`` may NOT run as one traversal — ``None`` when legal.
 
@@ -409,17 +402,11 @@ def fusion_reason(calls: tuple[KernelCall, ...]) -> str | None:
     does not exist until the group completes.
 
     A group of one call fuses nothing, so its op need not be fusable (a
-    halo prefix may lead a lone Chebyshev sweep) — unless the op's
-    public method dispatches more than the op itself.
+    halo prefix may lead a lone Chebyshev sweep).
     """
     outs: set[str] = set()
     for idx, cand in enumerate(calls):
         spec = cand.spec
-        if cand.op in _COMPOUND_OPS:
-            return (
-                f"'{cand.op}' dispatches more than one operation, so it "
-                f"cannot run inside a group"
-            )
         if not spec.fusable and len(calls) > 1:
             return f"'{cand.op}' is not a fusable operation"
         for arg in cand.args:
@@ -1002,10 +989,11 @@ class CommStats:
 class PlanExecutor:
     """Replays compiled plans against one port.
 
-    Interpreted, every :class:`KernelCall` goes through the port's
-    *public* kernel method — preserving the per-model trace structure and
-    any wrapper a harness has installed (lockstep comparison).  Compiled
-    (``codegen``), lowered steps run through ``port.dispatch_compiled``.
+    Interpreted, every :class:`KernelCall` goes through
+    ``port.dispatch`` — preserving the per-model trace structure and any
+    wrapper a harness has installed (lockstep comparison, the decomposed
+    port's allreduce).  Compiled (``codegen``), lowered steps run through
+    ``port.dispatch_compiled``.
     Fusion exists only there: ``fuse`` is granted on a port that both
     fuses and compiles, and it turns ``codegen`` on.
 
@@ -1121,11 +1109,13 @@ class PlanExecutor:
                     for call, args in zip(step.calls, argv):
                         m.note_writes(call.spec.written(args))
             elif isinstance(step, KernelCall):
-                args = self._resolve(step.args, env)
-                value = getattr(port, step.op)(*args)
+                call = step
+                if any(isinstance(a, Bind) for a in step.args):
+                    call = KernelCall(step.op, self._resolve(step.args, env))
+                value = port.dispatch(call)
                 self._store(step, value, env)
                 if m is not None:
-                    m.note_writes(step.spec.written(args))
+                    m.note_writes(step.spec.written(call.args))
             elif isinstance(step, HaloStep):
                 port.update_halo(step.names, depth=step.depth)
                 self._record_halo(plan.name, step)
@@ -1191,7 +1181,7 @@ def executor_for(port: Any) -> PlanExecutor:
 
     The driver configures and attaches one as ``port.plan_executor``;
     solver code driving a bare port (unit tests, harnesses) gets default
-    semantics — every call through the public kernel methods, unfused.
+    semantics — every call through ``port.dispatch``, unfused.
 
     The attached executor is only honoured when it drives *this exact
     object*: a delegating proxy (the lockstep harness) inherits

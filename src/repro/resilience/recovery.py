@@ -35,6 +35,7 @@ from repro.core import fields as F
 from repro.core.deck import Deck
 from repro.core.solvers import CGSolver, ChebyshevSolver, PPCGSolver, Solver
 from repro.core.solvers.base import SolveResult
+from repro.models.plan import KernelCall
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.detectors import (
     ResidualMonitor,
@@ -395,11 +396,12 @@ class ResilienceManager:
 
     def abft_check(self, port, expected_ie: float) -> str | None:
         """Energy-conservation ABFT between steps; records a detection."""
+        call = KernelCall("field_summary")
         if self.trace is not None:
             with self.trace.section("resilience"):
-                summary = port.field_summary()
+                summary = port.dispatch(call)
         else:
-            summary = port.field_summary()
+            summary = port.dispatch(call)
         violation = abft_energy_violation(
             summary[2], expected_ie, self.config.abft_tolerance
         )

@@ -1,14 +1,20 @@
 """The explicit solver extension and its 1/dx^2 timestep constraint."""
 
+import contextlib
+import functools
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.comm.multichunk import MultiChunkPort
 from repro.core import fields as F
 from repro.core.deck import default_deck, parse_deck
 from repro.core.driver import TeaLeaf
 from repro.core.solvers.explicit import STABILITY_SAFETY, stability_sum
+from repro.models.base import available_models, make_port
+from repro.models.plan import KernelCall
 from repro.util.errors import ConvergenceError
 
 
@@ -96,18 +102,12 @@ class TestAccuracyAgainstImplicit:
         scale = np.abs(u_i).max()
         assert np.abs(u_e - u_i).max() / scale < 0.02
 
-    @pytest.mark.parametrize("model", ["kokkos", "cuda", "raja"])
+    @pytest.mark.parametrize("model", available_models())
     def test_cross_port_equivalence(self, model):
         """The explicit solver composes from port kernels, so it too must
-        be port-invariant."""
-        deck = default_deck(n=24, solver="explicit", end_step=1)
-        ref = TeaLeaf(deck, model="openmp-f90")
-        ref.run()
-        other = TeaLeaf(deck, model=model)
-        other.run()
-        g = deck.grid()
-        np.testing.assert_allclose(
-            other.field(F.U)[g.inner()], ref.field(F.U)[g.inner()], rtol=1e-12
+        be port-invariant, bit for bit."""
+        np.testing.assert_array_equal(
+            solve(model, "plain").u, solve("openmp-f90", "plain").u
         )
 
 
@@ -115,8 +115,10 @@ class TestStabilitySum:
     def test_matches_hand_computation(self):
         deck = default_deck(n=16, solver="explicit", end_step=1)
         app = TeaLeaf(deck, model="openmp-f90")
-        app.port.set_field()
-        app.port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
+        app.port.dispatch(KernelCall("set_field"))
+        app.port.dispatch(
+            KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient))
+        )
         s = stability_sum(app.port)
         kx = app.field(F.KX)
         ky = app.field(F.KY)
@@ -135,3 +137,76 @@ class TestStabilitySum:
         solve = result.steps[0].solve
         # per-sub-step stability sum (reported in .error) below the limit
         assert solve.error <= STABILITY_SAFETY * 1.0001
+
+
+# --------------------------------------------------------------------- #
+# the explicit plans run through the executor like every other solver's
+# --------------------------------------------------------------------- #
+#: The 24x24 deck takes two sub-steps per step.
+EXPLICIT = default_deck(n=24, solver="explicit", end_step=1)
+SUBSTEPS = 2
+FOUR_RANKS = "openmp-f90x4"
+PORTS = [*available_models(), FOUR_RANKS]
+
+FLAGS = {
+    "plain": {},
+    "codegen": {"tl_codegen": True},
+    "fuse": {"tl_fuse_kernels": True},
+    "poison": {"tl_poison_dead_fields": True},
+    "codegen+fuse+poison+residency": {
+        "tl_codegen": True,
+        "tl_fuse_kernels": True,
+        "tl_poison_dead_fields": True,
+        "tl_residency_tracking": True,
+    },
+    "raise:cheby_init:1": {"tl_inject": "raise:cheby_init:1"},
+    "raise:copy_field:2": {"tl_inject": "raise:copy_field:2"},
+}
+
+
+class Solved:
+    def __init__(self, app, result):
+        self.u = app.field(F.U)
+        self.iterations = result.iterations_per_step()
+        self.halos = result.trace.kernel_histogram().get("halo_update", 0)
+        self.fuses = app.executor.fuse
+        self.resilience = result.resilience
+
+
+@functools.cache
+def solve(port: str, flags: str) -> Solved:
+    deck = replace(EXPLICIT, **FLAGS[flags])
+    if port == FOUR_RANKS:
+        made = MultiChunkPort(deck.grid(), 4)
+    else:
+        made = make_port(port, deck.grid())
+    with contextlib.redirect_stderr(io.StringIO()):
+        app = TeaLeaf(deck, port=made)
+        result = app.run()
+    return Solved(app, result)
+
+
+class TestSinglePath:
+    def test_deck_takes_the_substeps_it_claims(self):
+        assert solve("openmp-f90", "plain").iterations == [SUBSTEPS]
+
+    @pytest.mark.parametrize(
+        "flags", ["codegen", "poison", "codegen+fuse+poison+residency"]
+    )
+    @pytest.mark.parametrize("port", PORTS)
+    def test_flags_end_on_the_plain_bits(self, port, flags):
+        np.testing.assert_array_equal(solve(port, flags).u, solve(port, "plain").u)
+
+    @pytest.mark.parametrize("port", PORTS)
+    def test_fused_substep_prefixes_its_refresh(self, port):
+        fused, plain = solve(port, "fuse"), solve(port, "plain")
+        saved = SUBSTEPS if fused.fuses else 0
+        assert plain.halos - fused.halos == saved
+        np.testing.assert_array_equal(fused.u, plain.u)
+
+    @pytest.mark.parametrize("flags", ["raise:cheby_init:1", "raise:copy_field:2"])
+    @pytest.mark.parametrize("port", ["openmp-f90", "cuda", FOUR_RANKS])
+    def test_each_kernel_is_a_fault_point(self, port, flags):
+        got = solve(port, flags)
+        assert (got.resilience.injections, got.resilience.recoveries) == (1, 1)
+        np.testing.assert_array_equal(got.u, solve(port, "plain").u)

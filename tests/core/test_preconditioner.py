@@ -95,6 +95,7 @@ class TestCorrectness:
 class TestPreconApplication:
     def test_z_equals_r_over_diagonal(self):
         from repro.models.base import make_port
+        from repro.models.plan import KernelCall
         from repro.core.state import generate_chunk
 
         deck, _ = decks(n=16)
@@ -102,10 +103,13 @@ class TestPreconApplication:
         density, energy = generate_chunk(list(deck.states), g)
         port = make_port("openmp-f90", g)
         port.set_state(density, energy)
-        port.set_field()
-        port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
-        port.cg_init()
-        port.cg_precon_jacobi()
+        for call in (
+            KernelCall("set_field"),
+            KernelCall("tea_leaf_init", (deck.initial_timestep, deck.tl_coefficient)),
+            KernelCall("cg_init"),
+            KernelCall("cg_precon_jacobi"),
+        ):
+            port.dispatch(call)
         kx, ky = port.read_field(F.KX), port.read_field(F.KY)
         r, z = port.read_field(F.R), port.read_field(F.Z)
         h, nx, ny = g.halo, g.nx, g.ny

@@ -10,9 +10,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.comm.multichunk import MultiChunkPort
 from repro.core import fields as F
 from repro.core.deck import default_deck
-from repro.core.driver import TeaLeaf
+from repro.core.driver import TeaLeaf, solve_step_plans
+from repro.models.base import make_port
+from repro.models.plan import KernelCall
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -31,6 +34,13 @@ from repro.util.errors import (
 
 def run_deck(deck, model="openmp-f90"):
     return TeaLeaf(deck, model=model).run()
+
+
+def run_prologue(app):
+    """The driver's step prologue: set_field, tea_leaf_init, u's halo."""
+    prologue, _ = solve_step_plans(app.grid.halo)
+    env = {"dt": app.deck.initial_timestep, "coefficient": app.deck.tl_coefficient}
+    app.executor.run(prologue, env)
 
 
 def resilient_deck(spec: str, **kwargs):
@@ -132,10 +142,8 @@ class TestSolverHardening:
         deck = default_deck(n=8, solver="cg", end_step=1)
         deck = dataclasses.replace(deck, tl_preconditioner_type="jac_diag")
         app = TeaLeaf(deck, model="openmp-f90")
-        app.port.set_field()
-        app.port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
-        app.port.update_halo((F.U,), depth=app.grid.halo)
-        rr0 = app.port.cg_init()
+        run_prologue(app)
+        rr0 = app.port.dispatch(KernelCall("cg_init"))
         # Zero the residual by hand: z = M^-1 r and p both become zero, so
         # p.Ap == 0 while the recorded squared residual rr0 stays above
         # tolerance — exactly the broken-down-basis case.
@@ -150,9 +158,7 @@ class TestSolverHardening:
     def test_non_finite_scalar_raises_corruption_error(self):
         deck = default_deck(n=16, solver="cg", end_step=1)
         app = TeaLeaf(deck, model="openmp-f90")
-        app.port.set_field()
-        app.port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
-        app.port.update_halo((F.U,), depth=app.grid.halo)
+        run_prologue(app)
         u = app.port.read_field(F.U)
         u[5, 5] = np.nan
         app.port.write_field(F.U, u)
@@ -206,6 +212,28 @@ class TestRecovery:
         assert faulty.final_summary.temperature == pytest.approx(
             clean.final_summary.temperature, rel=1e-12
         )
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_jacobi_copy_step_is_a_fault_point(self, ranks):
+        # Jacobi stashes u in r through a plan step of its own, so a
+        # raise on the second copy fires before the second sweep.
+        def solve(deck):
+            grid = deck.grid()
+            if ranks == 4:
+                port = MultiChunkPort(grid, 4)
+            else:
+                port = make_port("openmp-f90", grid)
+            app = TeaLeaf(deck, port=port)
+            report = app.run().resilience
+            return app.field(F.U), report
+
+        deck = default_deck(n=32, solver="jacobi", end_step=1)
+        clean, _ = solve(deck)
+        faulty, rep = solve(
+            dataclasses.replace(deck, tl_inject="raise:copy_field:2")
+        )
+        assert (rep.injections, rep.recoveries) == (1, 1)
+        np.testing.assert_array_equal(faulty, clean)
 
     def test_eigen_corruption_degrades_chebyshev_to_cg(self):
         kwargs = dict(n=64, end_step=2, eps=1e-10)

@@ -104,18 +104,19 @@ class TestPortContract:
         return {name: make_port(name, grid) for name in available_models()}
 
     def test_no_port_overrides_a_public_kernel_method(self):
-        # Wrapping and stub ports hook dispatch (or _primitive); only the
-        # decomposed tea_leaf_init, which exchanges densities before its
-        # dispatch and fixes up chunk edges after it, stays public.
+        # There is none to override: no port class, Port included, has a
+        # method named after an op.  Every op runs through Port.dispatch,
+        # which wrapping and stub ports hook (or their _primitive).
         classes = {type(p) for p in self.registered_ports().values()}
         classes |= {MultiChunkPort, LockstepPort, TracingStubPort}
-        overrides = set()
-        for cls in classes:
-            for klass in cls.__mro__[: cls.__mro__.index(Port)]:
-                overrides |= {
-                    f"{klass.__name__}.{op}" for op in OPS if op in vars(klass)
-                }
-        assert overrides == {"MultiChunkPort.tea_leaf_init"}
+        named = {
+            f"{klass.__name__}.{op}"
+            for cls in classes
+            for klass in cls.__mro__[: cls.__mro__.index(Port) + 1]
+            for op in OPS
+            if op in vars(klass)
+        }
+        assert named == set()
 
     def test_fusing_ports_have_no_data_region(self):
         # The plan compiler hoists begin/end_solve across fused groups,

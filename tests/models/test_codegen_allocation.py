@@ -106,14 +106,13 @@ def test_warm_call_peaks_below_one_interior_array(warm_ctx, call):
 
 #: The OpenMP CG bodies on a port's team slab over the whole ``n x n``
 #: interior, each with its allowed peak as a count of contribution
-#: vectors plus fixed bytes: every contribution is a view of scratch, so
-#: the stencil, ``beta p + r`` and ``cg_calc_ur``'s span sweeps allocate
-#: none, and ``p.w`` at most twice the vector it fills (NumPy may buffer
-#: its two strided operands).
+#: vectors plus fixed bytes: every contribution is a view of scratch, and
+#: the stencil, ``beta p + r``, ``p.w`` and ``cg_calc_ur`` all sweep the
+#: span, so none allocates a vector.
 CG_BODIES = {
     "matvec": (lambda slab: slab.matvec(F.P), 0, 4096),
     "cg_calc_p": (lambda slab: lb.cg_calc_p(slab, (0.25,)), 0, 4096),
-    "cg_calc_w": (lambda slab: lb.cg_calc_w(slab, ()), 2, 8192),
+    "cg_calc_w": (lambda slab: lb.cg_calc_w(slab, ()), 0, 4096),
     "cg_calc_ur": (lambda slab: lb.cg_calc_ur(slab, (0.5,)), 0, 4096),
 }
 

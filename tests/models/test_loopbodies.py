@@ -61,7 +61,7 @@ SWEEPS = {
 }
 
 #: The whole-array steps, which run once outside any slab.
-WHOLE_ARRAY = {lb.zero_walls, lb.stash_u, lb.copy_field}
+WHOLE_ARRAY = {lb.zero_walls, lb.copy_field}
 
 
 def test_every_body_is_pinned():

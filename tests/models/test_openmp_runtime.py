@@ -10,12 +10,7 @@ from repro.core import fields as F
 from repro.core.deck import default_deck
 from repro.core.driver import TeaLeaf
 from repro.models.base import make_port
-from repro.models.openmp.runtime import (
-    OpenMPRuntime,
-    is_simd,
-    simd,
-    static_chunks,
-)
+from repro.models.openmp.runtime import OpenMPRuntime, static_chunks
 from repro.models.reduction import deterministic_sum
 
 
@@ -98,19 +93,6 @@ class TestRuntime:
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
             OpenMPRuntime(num_threads=0)
-
-
-class TestSimdMarker:
-    def test_marker_preserves_behaviour(self):
-        @simd
-        def body(x):
-            return x * 2
-
-        assert body(21) == 42
-        assert is_simd(body)
-
-    def test_unmarked(self):
-        assert not is_simd(lambda x: x)
 
 
 class TestBatchedTeam:

@@ -175,7 +175,7 @@ class TestCheckFinite:
 
 
 class _RecordingPort:
-    """Minimal duck-typed port: records public kernel calls."""
+    """Minimal duck-typed port: records every dispatched call."""
 
     supports_fusion = False
     plan_executor = None
@@ -183,15 +183,9 @@ class _RecordingPort:
     def __init__(self):
         self.calls = []
 
-    def cg_precon_jacobi(self):
-        self.calls.append("cg_precon_jacobi")
-
-    def dot_fields(self, a, b):
-        self.calls.append(f"dot_fields({a},{b})")
-        return 4.0
-
-    def ppcg_calc_p(self, beta):
-        self.calls.append(f"ppcg_calc_p({beta})")
+    def dispatch(self, call):
+        self.calls.append(call)
+        return 4.0 if call.op == "dot_fields" else None
 
     def update_halo(self, names, depth):
         self.calls.append(f"halo({','.join(names)},{depth})")
@@ -216,11 +210,12 @@ class TestExecutor:
         )
         env = PlanExecutor(port).run(plan)
         assert env["rrz"] == 4.0 and env["beta"] == 2.0
+        # Each call is dispatched as planned, with its Bind resolved.
         assert port.calls == [
             "halo(p,2)",
-            "cg_precon_jacobi",
-            "dot_fields(r,z)",
-            "ppcg_calc_p(2.0)",
+            plan.steps[1],
+            plan.steps[2],
+            KernelCall("ppcg_calc_p", (2.0,)),
             "begin_solve",
         ]
 

@@ -204,12 +204,6 @@ class TestDeckValidation:
                 default_deck(n=16), tl_poison_dead_fields=True, tl_resilient=True
             )
 
-    def test_poison_rejects_explicit_solver(self):
-        with pytest.raises(DeckError, match="explicit"):
-            dataclasses.replace(
-                default_deck(n=16), solver="explicit", tl_poison_dead_fields=True
-            )
-
     def test_poison_deck_file_flag_parses(self, tmp_path):
         path = tmp_path / "poison.in"
         path.write_text(

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.deck import default_deck
 from repro.models.base import make_port
+from repro.models.plan import KernelCall
 from repro.util.errors import ModelError
 
 
@@ -32,10 +33,10 @@ class TestResidencyMisuse:
         port.set_state(
             np.full(port.grid.shape, 2.0), np.full(port.grid.shape, 1.0)
         )
-        port.set_field()
+        port.dispatch(KernelCall("set_field"))
         port.begin_solve()
         assert port.env.mapped_names()  # arrays resident during the solve
-        port.tea_leaf_init(0.004, "conductivity")
+        port.dispatch(KernelCall("tea_leaf_init", (0.004, "conductivity")))
         port.end_solve()
         assert port.env.mapped_names() == []  # scope closed, all unmapped
 

@@ -16,10 +16,16 @@ from repro.core import operators as ops
 from repro.core.deck import default_deck
 from repro.core.state import generate_chunk
 from repro.models.base import available_models, make_port
+from repro.models.plan import KernelCall
 from tests.models import test_equivalence as harness
 from tests.models.test_equivalence import PLAIN, Row
 
 ALL_MODELS = available_models()
+
+
+def call(port, op, *args):
+    """Run one op on ``port`` through its dispatch entry."""
+    return port.dispatch(KernelCall(op, args))
 
 
 def fresh_port(model, n=16):
@@ -30,9 +36,9 @@ def fresh_port(model, n=16):
     port.set_state(density, energy)
     # Driver ordering: set_field runs on the host before the solve-scope
     # data region opens (energy0 is never mapped to the device).
-    port.set_field()
+    call(port, "set_field")
     port.begin_solve()
-    port.tea_leaf_init(deck.initial_timestep, deck.tl_coefficient)
+    call(port, "tea_leaf_init", deck.initial_timestep, deck.tl_coefficient)
     return deck, grid, port
 
 
@@ -64,7 +70,7 @@ class TestKernelEquivalence:
 
     def test_matvec_and_reductions_match_reference(self, model):
         deck, grid, port = fresh_port(model)
-        rro = port.cg_init()
+        rro = call(port, "cg_init")
         # reference: w = A u; r = u0 - w; rro = r.r
         _, density, energy, u, u0, kx, ky = reference_fields()
         w = grid.allocate()
@@ -72,7 +78,7 @@ class TestKernelEquivalence:
         r = u0 - w
         expected_rro = ops.norm2(r, grid.halo)
         assert rro == pytest.approx(expected_rro, rel=1e-12)
-        pw = port.cg_calc_w()
+        pw = call(port, "cg_calc_w")
         ap = grid.allocate()
         ops.apply_matrix(r, kx, ky, grid.halo, ap)  # p == r after cg_init
         expected_pw = ops.dot(r, ap, grid.halo)
@@ -81,11 +87,11 @@ class TestKernelEquivalence:
 
     def test_norm_dot_copy(self, model):
         deck, grid, port = fresh_port(model)
-        port.cg_init()
-        n2 = port.norm2_field(F.R)
-        d = port.dot_fields(F.R, F.P)
+        call(port, "cg_init")
+        n2 = call(port, "norm2_field", F.R)
+        d = call(port, "dot_fields", F.R, F.P)
         assert n2 == pytest.approx(d, rel=1e-12)  # p == r after cg_init
-        port.copy_field(F.R, F.SD)
+        call(port, "copy_field", F.R, F.SD)
         port.end_solve()
         np.testing.assert_array_equal(
             port.read_field(F.SD)[grid.inner()], port.read_field(F.R)[grid.inner()]
@@ -93,7 +99,7 @@ class TestKernelEquivalence:
 
     def test_finalise_recovers_energy(self, model):
         deck, grid, port = fresh_port(model)
-        port.tea_leaf_finalise()
+        call(port, "tea_leaf_finalise")
         port.end_solve()
         u = port.read_field(F.U)
         density = port.read_field(F.DENSITY)
@@ -105,9 +111,9 @@ class TestKernelEquivalence:
 
     def test_field_summary_matches_reference(self, model):
         deck, grid, port = fresh_port(model)
-        port.tea_leaf_finalise()
+        call(port, "tea_leaf_finalise")
         port.end_solve()
-        vol, mass, ie, temp = port.field_summary()
+        vol, mass, ie, temp = call(port, "field_summary")
         density = port.read_field(F.DENSITY)
         energy = port.read_field(F.ENERGY1)
         u = port.read_field(F.U)

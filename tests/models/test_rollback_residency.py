@@ -17,11 +17,15 @@ import pytest
 from repro.core import fields as F
 from repro.core.deck import parse_deck_file
 from repro.core.driver import TeaLeaf
+from repro.models.plan import KernelCall
 
 DECK = Path(__file__).resolve().parents[2] / "decks" / "tea_bm_short.in"
 
 #: Every offload port: explicit-copy (mirror cache) and data-region kinds.
 OFFLOAD_MODELS = ["cuda", "opencl", "openmp4", "openmp45", "openacc"]
+
+#: A device-side reduction of u.
+NORM_U = KernelCall("norm2_field", (F.U,))
 
 
 def resilient_residency_app(model):
@@ -44,11 +48,11 @@ def test_rollback_reuploads_restored_fields(model):
     # device-side reduction of it.
     u_good = port.read_field(F.U)
     m.checkpoints.capture_anchor(port, m.iteration)
-    norm_good = port.norm2_field(F.U)
+    norm_good = port.dispatch(NORM_U)
 
     # Corrupt u through the host interface (how field faults land).
     port.write_field(F.U, u_good + 1.0e3)
-    assert port.norm2_field(F.U) != norm_good
+    assert port.dispatch(NORM_U) != norm_good
 
     m.rollback(port, anchor=True)
 
@@ -57,7 +61,7 @@ def test_rollback_reuploads_restored_fields(model):
     np.testing.assert_array_equal(restored[inner], u_good[inner])
     # ...and so does a reduction computed on the device: the restored
     # field was re-uploaded, not served from a stale device array.
-    assert port.norm2_field(F.U) == norm_good
+    assert port.dispatch(NORM_U) == norm_good
 
 
 @pytest.mark.parametrize("model", ["cuda", "opencl"])
